@@ -11,8 +11,7 @@ is what makes the Figure-5 B-vs-E comparison tight at moderate N.
 from __future__ import annotations
 
 import argparse
-import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -162,18 +161,6 @@ class CampaignResult:
 # -- the unified campaign configuration --------------------------------------
 
 
-class _Unset:
-    """Sentinel distinguishing 'not passed' from an explicit None."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<unset>"
-
-
-_UNSET = _Unset()
-
-
 def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -188,18 +175,22 @@ def _knob(
     kind: str = "str",
     metavar: str | None = None,
     choices: str | None = None,
-    cli_default=_UNSET,
+    cli_auto: bool = False,
     group: str | None = None,
 ):
     """A :class:`CampaignConfig` field whose metadata drives CLI flag
-    generation (see :func:`add_campaign_arguments`)."""
+    generation (see :func:`add_campaign_arguments`).
+
+    ``cli_auto`` makes the flag default to None (the engine's automatic
+    choice) instead of the field's library default.
+    """
     meta = {"help": help, "kind": kind}
     if metavar is not None:
         meta["metavar"] = metavar
     if choices is not None:
         meta["choices"] = choices
-    if cli_default is not _UNSET:
-        meta["cli_default"] = cli_default
+    if cli_auto:
+        meta["cli_default"] = None
     if group is not None:
         meta["group"] = group
     return field(default=default, metadata=meta)
@@ -209,8 +200,8 @@ def _knob(
 class CampaignConfig:
     """Every execution / resilience / observability knob of a campaign.
 
-    One frozen value object replaces the kwarg soup previously spread
-    across :class:`~repro.faultinject.engine.CampaignEngine`,
+    The one way to set a knob for
+    :class:`~repro.faultinject.engine.CampaignEngine`,
     :func:`run_campaign`, :func:`run_paired_campaigns` and the CLI.  None
     of these knobs changes campaign *outcomes* (``wall_clock_limit`` is
     the documented safety-valve exception); they change how fast the
@@ -228,7 +219,7 @@ class CampaignConfig:
         "to --jobs 1 for the same seed)",
         kind="int",
         metavar="J",
-        cli_default=None,
+        cli_auto=True,
     )
     ladder_interval: int | None = _knob(
         None,
@@ -361,31 +352,6 @@ class CampaignConfig:
         )
 
 
-def _with_legacy(
-    campaign: CampaignConfig | None, caller: str, **overrides
-) -> CampaignConfig:
-    """Fold deprecated per-knob kwargs into a :class:`CampaignConfig`.
-
-    Explicitly passed legacy kwargs (anything not ``_UNSET``) win over
-    the supplied config and emit one :class:`DeprecationWarning` naming
-    the replacement, so old call sites keep working verbatim while new
-    code converges on the config object.
-    """
-    supplied = {
-        name: value for name, value in overrides.items() if value is not _UNSET
-    }
-    base = campaign if campaign is not None else CampaignConfig()
-    if not supplied:
-        return base
-    warnings.warn(
-        f"{caller}: pass config=CampaignConfig(...) instead of the "
-        f"deprecated keyword(s) {sorted(supplied)}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return replace(base, **supplied)
-
-
 #: argparse flag types, keyed by field-metadata ``kind``.
 _FLAG_TYPES = {
     "int": int,
@@ -444,42 +410,21 @@ def run_campaign(
     n: int,
     seed: int,
     config: LetGoConfig | None = None,
-    keep_results: bool | _Unset = _UNSET,
     plans: list[InjectionPlan] | None = None,
     *,
-    jobs: int | None | _Unset = _UNSET,
-    ladder_interval: int | None | _Unset = _UNSET,
     campaign: CampaignConfig | None = None,
 ) -> CampaignResult:
     """Run *n* injections on *app* under *config* (None = baseline).
 
-    A thin wrapper over :class:`~repro.faultinject.engine.CampaignEngine`:
-    by default the golden prefix of each run is restored from the app's
-    snapshot ladder instead of replayed from instruction 0, and ``jobs``
-    fans the independent runs out across worker processes.  Results are
-    identical to the naive serial loop for the same seed regardless of
-    ``jobs``/``ladder_interval`` (pass ``ladder_interval=0`` to disable
-    the ladder).
-
-    ``keep_results`` retains the per-run :class:`InjectionResult` records;
-    it defaults to False because at large N the accumulation is unbounded
-    (matching :func:`run_paired_campaigns`).
-
-    ``campaign`` supplies the full :class:`CampaignConfig`; the loose
-    ``keep_results`` / ``jobs`` / ``ladder_interval`` kwargs are the
-    deprecated pre-config spelling and override it when passed.
+    A thin wrapper over :class:`~repro.faultinject.engine.CampaignEngine`
+    driven by ``campaign`` (default: ``CampaignConfig()``, a serial,
+    laddered run that keeps no per-run records).  Results are identical
+    to the naive serial loop for the same seed whatever ``jobs`` or
+    ``ladder_interval`` the config sets.
     """
     from repro.faultinject.engine import CampaignEngine
 
-    cfg = _with_legacy(
-        campaign,
-        "run_campaign",
-        keep_results=keep_results,
-        jobs=jobs,
-        ladder_interval=ladder_interval,
-    )
-    engine = CampaignEngine(config=cfg)
-    return engine.run(app, n, seed, config, plans=plans)
+    return CampaignEngine(config=campaign).run(app, n, seed, config, plans=plans)
 
 
 def run_paired_campaigns(
@@ -487,32 +432,21 @@ def run_paired_campaigns(
     n: int,
     seed: int,
     configs: list[LetGoConfig | None],
-    keep_results: bool | _Unset = _UNSET,
     *,
-    jobs: int | None | _Unset = _UNSET,
-    ladder_interval: int | None | _Unset = _UNSET,
     campaign: CampaignConfig | None = None,
 ) -> dict[str, CampaignResult]:
     """Run the same fault population under several configurations.
 
     Returns config-name -> result ("baseline" for None).  ``campaign``
-    (a :class:`CampaignConfig`) passes through to :func:`run_campaign`;
-    the loose kwargs are the deprecated spelling.
+    passes through to :func:`run_campaign`.
     """
-    cfg = _with_legacy(
-        campaign,
-        "run_paired_campaigns",
-        keep_results=keep_results,
-        jobs=jobs,
-        ladder_interval=ladder_interval,
-    )
     rng = np.random.default_rng(seed)
     plans = plan_injections(rng, app.golden.instret, n)
     out: dict[str, CampaignResult] = {}
     for config in configs:
         name = config.name if config is not None else "baseline"
         out[name] = run_campaign(
-            app, n, seed, config, plans=plans, campaign=cfg
+            app, n, seed, config, plans=plans, campaign=campaign
         )
     return out
 

@@ -28,8 +28,9 @@ checkpoint/restart discipline to the campaign runner itself:
 
 * a write-ahead **campaign journal**
   (:class:`~repro.faultinject.journal.CampaignJournal`) durably records
-  each completed shard, and ``resume=`` skips journaled plans and merges
-  old + new shards into a result bit-identical to an uninterrupted run;
+  each completed shard, and ``CampaignConfig.resume`` skips journaled
+  plans and merges old + new shards into a result bit-identical to an
+  uninterrupted run;
 * a **supervisor** retries failed shards with bounded exponential
   backoff, rebuilds a broken process pool, bisects a persistently
   failing shard down to the single **poison plan** and quarantines it
@@ -43,6 +44,9 @@ checkpoint/restart discipline to the campaign runner itself:
 Throughput and resilience observability come back in an
 :class:`EngineStats` record: injections/sec, ladder restore-distance,
 per-shard utilization, retries, pool rebuilds, and quarantined plans.
+Its event counts are read from the supervisor's single tally, the same
+dict a telemetry-enabled campaign adds to its tracer's counters, so the
+stats and the telemetry report cannot disagree.
 """
 
 from __future__ import annotations
@@ -53,22 +57,15 @@ import os
 from collections import Counter, deque
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from pathlib import Path
 from time import perf_counter, sleep
 
 import numpy as np
 
 from repro.apps.base import MiniApp
-from repro.checkpoint.snapshot import SnapshotLadder, restore, restore_into, snapshot
+from repro.checkpoint.snapshot import SnapshotLadder, restore_into, snapshot
 from repro.core.config import LetGoConfig
 from repro.errors import CampaignAbortedError
-from repro.faultinject.campaign import (
-    _UNSET,
-    CampaignConfig,
-    CampaignResult,
-    _Unset,
-    _with_legacy,
-)
+from repro.faultinject.campaign import CampaignConfig, CampaignResult
 from repro.faultinject.fault_model import InjectionPlan, plan_injections
 from repro.faultinject.injector import InjectionResult, run_injection
 from repro.faultinject.journal import CampaignJournal, JournalHeader
@@ -155,28 +152,7 @@ class EngineStats:
         return line
 
 
-# -- golden-path session seeding -------------------------------------------
-
-
-def _seed_session(
-    app: MiniApp,
-    plan: InjectionPlan,
-    ladder: SnapshotLadder | None,
-    backend: str | None = None,
-) -> tuple[DebugSession, bool, int]:
-    """A session positioned for *plan*: nearest rung, or a cold load.
-
-    Returns (session, restored_from_rung, golden_steps_still_to_replay).
-    """
-    target = plan.dyn_index - 1
-    snap = ladder.nearest(target) if ladder is not None else None
-    if snap is None:
-        return DebugSession(app.load(backend)), False, target
-    return (
-        DebugSession(restore(app.program, snap, backend=backend)),
-        True,
-        target - snap.instret,
-    )
+# -- one shard --------------------------------------------------------------
 
 
 def _run_shard(
@@ -184,19 +160,13 @@ def _run_shard(
     ladder: SnapshotLadder | None,
     config: LetGoConfig | None,
     batch: list[tuple[int, InjectionPlan]],
-    wall_clock_limit: float | None = None,
-    backend: str | None = None,
-    telemetry: bool = False,
-    probe_interval: int = 0,
-) -> tuple[
-    list[tuple[int, InjectionResult]], tuple[int, int, int, float], dict | None
-]:
+    campaign: CampaignConfig,
+) -> tuple[list[tuple[int, InjectionResult]], Counter, float, dict | None]:
     """Run one shard of (index, plan) pairs.
 
     Plans execute in injection-depth order (ladder/cache locality) but the
     returned pairs are in index order, so reassembling shards by plan
     index reproduces the serial result order exactly.
-    Shard stats: (restored, cold_starts, fast_forward_steps, seconds).
 
     One *host process* serves the whole shard: every plan restores its
     launch state (ladder rung, or a pristine instret-0 snapshot) into the
@@ -204,25 +174,29 @@ def _run_shard(
     compiled backend -- closure-table compilation are paid once per shard
     rather than once per injection.
 
-    With ``telemetry`` a leaf :class:`~repro.telemetry.Tracer` records the
-    shard's phase spans and counters; its picklable export is the third
-    return element (None when disabled), absorbed by the supervisor.  The
-    leaf is created here -- identically for in-process and pooled shards
-    -- so the merged stream is independent of *where* the shard ran.
+    Returns (pairs, tally, seconds, payload).  The tally is the shard's
+    one exact count of ``restore`` / ``cold-start`` positionings, golden
+    ``fast-forward`` instructions replayed and watchdog ``timeout`` runs;
+    it exists whether telemetry is on or off.  With telemetry a leaf
+    :class:`~repro.telemetry.Tracer` also records the shard's phase spans
+    and injection counters; its picklable export is the payload (None
+    when disabled), absorbed by the supervisor.  The leaf is created here
+    -- identically for in-process and pooled shards -- so the merged
+    stream is independent of *where* the shard ran.
     """
     t0 = perf_counter()
-    if telemetry:
+    if campaign.telemetry_enabled:
         tracer = Tracer(
             tid=f"shard-{min(idx for idx, _ in batch):05d}",
-            probe_interval=probe_interval,
+            probe_interval=campaign.probe_interval,
         )
         tracer.instant("worker-start", pid=os.getpid(), plans=len(batch))
     else:
         tracer = NULL_TRACER
-    restored = cold = fast_forward = 0
+    tally: Counter = Counter()
     out: dict[int, InjectionResult] = {}
     with tracer.span("shard"):
-        host = app.load(backend)
+        host = app.load(campaign.backend)
         pristine = snapshot(host)
         for idx, plan in sorted(batch, key=lambda pair: pair[1].dyn_index):
             target = plan.dyn_index - 1
@@ -230,33 +204,33 @@ def _run_shard(
             with tracer.span("restore"):
                 restore_into(host, pristine if snap is None else snap)
             if snap is None:
-                cold += 1
-                fast_forward += target
-                tracer.count("cold-start")
+                tally["cold-start"] += 1
+                tally["fast-forward"] += target
             else:
-                restored += 1
-                fast_forward += target - snap.instret
-                tracer.count("restore")
-            out[idx] = run_injection(
+                tally["restore"] += 1
+                tally["fast-forward"] += target - snap.instret
+            result = out[idx] = run_injection(
                 app,
                 plan,
                 config,
                 session=DebugSession(host),
-                wall_clock_limit=wall_clock_limit,
+                wall_clock_limit=campaign.wall_clock_limit,
                 tracer=tracer,
             )
+            if result.timed_out:
+                tally["timeout"] += 1
     pairs = [(idx, out[idx]) for idx in sorted(out)]
-    payload = tracer.export() if telemetry else None
-    return pairs, (restored, cold, fast_forward, perf_counter() - t0), payload
+    payload = tracer.export() if tracer.enabled else None
+    return pairs, tally, perf_counter() - t0, payload
 
 
 # -- worker protocol --------------------------------------------------------
 #
 # Workers receive only picklable primitives: an app *spec* (registry name
 # or module:qualname import path), the ladder interval, the LetGo config
-# (a frozen dataclass), and the wall-clock limit.  App, program image and
-# ladder are re-derived worker-side through the same module caches the
-# parent uses.
+# and the CampaignConfig (both frozen dataclasses).  App, program image
+# and ladder are re-derived worker-side through the same module caches
+# the parent uses.
 
 _WORKER: dict = {}
 
@@ -300,19 +274,13 @@ def _worker_init(
     spec: tuple,
     interval: int | None,
     config: LetGoConfig | None,
-    wall_clock_limit: float | None = None,
-    backend: str | None = None,
-    telemetry: bool = False,
-    probe_interval: int = 0,
+    campaign: CampaignConfig,
 ) -> None:
     app = _app_from_spec(spec)
     _WORKER["app"] = app
     _WORKER["ladder"] = app.ladder(interval) if interval != NO_LADDER else None
     _WORKER["config"] = config
-    _WORKER["wall_clock_limit"] = wall_clock_limit
-    _WORKER["backend"] = backend
-    _WORKER["telemetry"] = telemetry
-    _WORKER["probe_interval"] = probe_interval
+    _WORKER["campaign"] = campaign
 
 
 def _worker_run(batch: list[tuple[int, InjectionPlan]]):
@@ -321,10 +289,7 @@ def _worker_run(batch: list[tuple[int, InjectionPlan]]):
         _WORKER["ladder"],
         _WORKER["config"],
         batch,
-        _WORKER.get("wall_clock_limit"),
-        _WORKER.get("backend"),
-        _WORKER.get("telemetry", False),
-        _WORKER.get("probe_interval", 0),
+        _WORKER["campaign"],
     )
 
 
@@ -355,30 +320,31 @@ class _Supervisor:
     execution or -- with ``serial_fallback`` off -- aborts with
     :class:`~repro.errors.CampaignAbortedError` naming the journal.
     Every completed shard is journaled *before* its results are merged.
+
+    ``tally`` is the campaign's one exact event count: each committed
+    shard's tally is added to it, and the supervisor's own ``retry``,
+    ``bisect``, ``quarantine``, ``pool-rebuild`` and ``serial-degrade``
+    events are counted there and nowhere else.
     """
 
-    engine: "CampaignEngine"
+    campaign: CampaignConfig
     app: MiniApp
     ladder: SnapshotLadder | None
     config: LetGoConfig | None
     spec: tuple | None
     jobs: int
     journal: CampaignJournal | None
-
-    pairs: dict[int, InjectionResult] = field(default_factory=dict)
-    shard_sizes: list[int] = field(default_factory=list)
-    shard_stats: list[tuple[int, int, int, float]] = field(default_factory=list)
-    attempts: dict[tuple[int, ...], int] = field(default_factory=dict)
-    quarantined: list[int] = field(default_factory=list)
-    retries: int = 0
-    pool_rebuilds: int = 0
-    degraded: bool = False
-    timeouts: int = 0
     tracer: object = NULL_TRACER      # parent-side merged event stream
-    telemetry: bool = False           # shards create leaf tracers
-    probe_interval: int = 0
+    on_progress: object = None        # optional callable(done, total)
     total: int = 0                    # campaign n, for progress reporting
     done_base: int = 0                # plans settled before this invocation
+
+    pairs: dict[int, InjectionResult] = field(default_factory=dict)
+    tally: Counter = field(default_factory=Counter)
+    shard_sizes: list[int] = field(default_factory=list)
+    shard_seconds: list[float] = field(default_factory=list)
+    attempts: dict[tuple[int, ...], int] = field(default_factory=dict)
+    quarantined: list[int] = field(default_factory=list)
 
     def run(self, shards: list[list[tuple[int, InjectionPlan]]]) -> None:
         self.queue: deque = deque(shard for shard in shards if shard)
@@ -394,20 +360,13 @@ class _Supervisor:
             self.tracer.gauge("queue-depth", len(self.queue))
             shard = self.queue.popleft()
             try:
-                pairs, stat, payload = _run_shard(
-                    self.app,
-                    self.ladder,
-                    self.config,
-                    shard,
-                    self.engine.wall_clock_limit,
-                    self.engine.backend,
-                    self.telemetry,
-                    self.probe_interval,
+                outcome = _run_shard(
+                    self.app, self.ladder, self.config, shard, self.campaign
                 )
             except Exception as exc:
                 self._failure(shard, exc)
             else:
-                self._commit(pairs, stat, payload)
+                self._commit(*outcome)
 
     # -- pool --------------------------------------------------------------
 
@@ -419,15 +378,7 @@ class _Supervisor:
             return ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_worker_init,
-                initargs=(
-                    self.spec,
-                    interval,
-                    self.config,
-                    self.engine.wall_clock_limit,
-                    self.engine.backend,
-                    self.telemetry,
-                    self.probe_interval,
-                ),
+                initargs=(self.spec, interval, self.config, self.campaign),
             )
         except Exception:
             return None
@@ -456,24 +407,24 @@ class _Supervisor:
                 for future in as_completed(futures):
                     shard = futures[future]
                     try:
-                        pairs, stat, payload = future.result()
+                        outcome = future.result()
                     except BrokenExecutor:
                         broken = True
                         self.queue.append(shard)
                     except Exception as exc:
                         self._failure(shard, exc)
                     else:
-                        self._commit(pairs, stat, payload)
+                        self._commit(*outcome)
                 if broken:
                     pool.shutdown(wait=False, cancel_futures=True)
-                    self.pool_rebuilds += 1
-                    self.tracer.count("pool-rebuild")
-                    self.tracer.instant("pool-rebuild", n=self.pool_rebuilds)
-                    if self.pool_rebuilds > self.engine.max_pool_rebuilds:
-                        if not self.engine.serial_fallback:
+                    self.tally["pool-rebuild"] += 1
+                    rebuilds = self.tally["pool-rebuild"]
+                    self.tracer.instant("pool-rebuild", n=rebuilds)
+                    if rebuilds > max(0, self.campaign.max_pool_rebuilds):
+                        if not self.campaign.serial_fallback:
                             raise CampaignAbortedError(
-                                f"worker pool broke "
-                                f"{self.pool_rebuilds} times; giving up",
+                                f"worker pool broke {rebuilds} times; "
+                                "giving up",
                                 journal=(
                                     self.journal.path if self.journal else None
                                 ),
@@ -491,8 +442,7 @@ class _Supervisor:
 
     def _degrade(self) -> None:
         """Multiprocessing unavailable or unreliable: finish in-process."""
-        self.degraded = True
-        self.tracer.count("serial-degrade")
+        self.tally["serial-degrade"] += 1
         self.tracer.instant("serial-degrade")
         self._run_serial()
 
@@ -501,15 +451,16 @@ class _Supervisor:
     def _commit(
         self,
         pairs: list[tuple[int, InjectionResult]],
-        stat: tuple[int, int, int, float],
-        payload: dict | None = None,
+        tally: Counter,
+        seconds: float,
+        payload: dict | None,
     ) -> None:
         if payload is not None:
             # Re-base the shard's events to where the shard actually ran
             # on the parent timeline: it finished "now" and lasted
-            # stat[3] seconds.
+            # *seconds*.
             self.tracer.absorb(
-                payload, offset=max(0.0, self.tracer.now() - stat[3])
+                payload, offset=max(0.0, self.tracer.now() - seconds)
             )
         # Journal first: the shard is durable before its results count.
         if self.journal is not None:
@@ -517,29 +468,28 @@ class _Supervisor:
                 [idx for idx, _ in pairs], [result for _, result in pairs]
             )
         self.pairs.update(pairs)
+        self.tally.update(tally)
         self.shard_sizes.append(len(pairs))
-        self.shard_stats.append(stat)
-        self.timeouts += sum(1 for _, result in pairs if result.timed_out)
-        on_progress = self.engine.on_progress
-        if on_progress is not None:
-            on_progress(self.done_base + len(self.pairs), self.total)
+        self.shard_seconds.append(seconds)
+        if self.on_progress is not None:
+            self.on_progress(self.done_base + len(self.pairs), self.total)
 
     def _failure(self, shard: list[tuple[int, InjectionPlan]], exc: Exception) -> None:
         key = tuple(idx for idx, _ in shard)
         count = self.attempts.get(key, 0) + 1
         self.attempts[key] = count
-        if count <= self.engine.max_retries:
-            self.retries += 1
-            self.tracer.count("retry")
+        campaign = self.campaign
+        if count <= max(0, campaign.max_retries):
+            self.tally["retry"] += 1
             self.tracer.instant(
                 "retry", plans=len(shard), attempt=count,
                 error=type(exc).__name__,
             )
-            backoff = self.engine.retry_backoff
+            backoff = max(0.0, campaign.retry_backoff)
             if backoff > 0:
                 sleep(
                     min(
-                        self.engine.retry_backoff_cap,
+                        max(0.0, campaign.retry_backoff_cap),
                         backoff * 2 ** (count - 1),
                     )
                 )
@@ -548,14 +498,14 @@ class _Supervisor:
             # Bisect: isolate the poison plan instead of discarding the
             # healthy majority of the shard alongside it.
             mid = len(shard) // 2
-            self.tracer.count("bisect")
+            self.tally["bisect"] += 1
             self.tracer.instant("bisect", plans=len(shard))
             self.queue.append(shard[:mid])
             self.queue.append(shard[mid:])
         else:
             ((index, plan),) = shard
             self.quarantined.append(index)
-            self.tracer.count("quarantine")
+            self.tally["quarantine"] += 1
             self.tracer.instant(
                 "quarantine", index=index, error=type(exc).__name__
             )
@@ -569,100 +519,45 @@ class _Supervisor:
 class CampaignEngine:
     """Runs injection campaigns with prefix reuse, fan-out, and supervision.
 
-    Execution knobs:
+    Every knob lives in the one
+    :class:`~repro.faultinject.campaign.CampaignConfig` passed as
+    ``config`` (default: ``CampaignConfig()``) and kept on :attr:`config`:
 
-    * ``jobs``: worker processes (1 = in-process; None = ``os.cpu_count()``).
-    * ``ladder_interval``: rung spacing in retired instructions (None = the
-      app's :attr:`~repro.apps.base.MiniApp.default_ladder_interval`;
-      :data:`NO_LADDER` / 0 = replay every prefix from instruction 0).
-    * ``keep_results``: keep per-run :class:`InjectionResult` records on the
-      campaign (memory-unsafe at large N, hence off by default).
-    * ``shard_size``: plans per shard (None = one shard per worker, or a
-      finer default grain when journaling so resume loses little work).
-
-    Resilience knobs:
-
-    * ``max_retries``: re-executions of a failing shard before bisection.
-    * ``retry_backoff`` / ``retry_backoff_cap``: exponential backoff seconds
-      between retries (0 disables sleeping).
-    * ``max_pool_rebuilds``: broken process pools replaced before degrading.
-    * ``serial_fallback``: finish in-process when the pool keeps breaking
-      (False: raise :class:`~repro.errors.CampaignAbortedError` instead).
-    * ``wall_clock_limit``: per-injection watchdog seconds (None = off;
-      expired runs classify as ``HANG`` -- a non-deterministic safety
-      valve, so leave it off when bit-identical reruns matter).
-    * ``backend``: execution engine for injection runs ("interpreter" or
-      "compiled"; None = the package default).  Outcomes are
-      backend-invariant -- the differential suite proves it -- so this
-      only changes speed.
+    * execution -- ``jobs`` (1 = in-process; None = ``os.cpu_count()``),
+      ``ladder_interval`` (None = the app's
+      :attr:`~repro.apps.base.MiniApp.default_ladder_interval`;
+      :data:`NO_LADDER` / 0 = replay every prefix from instruction 0),
+      ``shard_size``, ``backend`` and ``keep_results``;
+    * resilience -- ``max_retries``, ``retry_backoff`` /
+      ``retry_backoff_cap``, ``max_pool_rebuilds``, ``serial_fallback``
+      and the per-injection ``wall_clock_limit`` watchdog (a
+      non-deterministic safety valve: expired runs classify as ``HANG``,
+      so leave it off when bit-identical reruns matter);
+    * durability -- ``journal`` (fresh write-ahead journal) or ``resume``
+      (continue an existing one); an engine runs one journaled campaign,
+      so a caller journaling several builds one engine per campaign;
+    * observability -- ``telemetry``, ``trace``, ``chrome_trace`` and
+      ``probe_interval``.
 
     For the same (app, n, seed, config, plans) every (jobs,
     ladder_interval, shard_size, backend) combination produces an
     identical :class:`CampaignResult`; the engine only changes how fast
     it arrives and what it survives.  The last run's :class:`EngineStats`
-    is kept on :attr:`stats`.
-
-    All knobs live in one :class:`~repro.faultinject.campaign.CampaignConfig`
-    (``config=``); the loose per-knob kwargs are the deprecated
-    pre-config spelling and override it when passed.  With telemetry
-    enabled the last run's aggregated
-    :class:`~repro.telemetry.TelemetryReport` is kept on
+    is kept on :attr:`stats`.  With telemetry enabled the last run's
+    aggregated :class:`~repro.telemetry.TelemetryReport` is kept on
     :attr:`telemetry`; :attr:`on_progress` optionally receives
     ``(done, total)`` after every committed shard.
     """
 
-    def __init__(
-        self,
-        jobs: int | None | _Unset = _UNSET,
-        ladder_interval: int | None | _Unset = _UNSET,
-        keep_results: bool | _Unset = _UNSET,
-        *,
-        shard_size: int | None | _Unset = _UNSET,
-        max_retries: int | _Unset = _UNSET,
-        retry_backoff: float | _Unset = _UNSET,
-        retry_backoff_cap: float | _Unset = _UNSET,
-        max_pool_rebuilds: int | _Unset = _UNSET,
-        serial_fallback: bool | _Unset = _UNSET,
-        wall_clock_limit: float | None | _Unset = _UNSET,
-        backend: str | None | _Unset = _UNSET,
-        config: CampaignConfig | None = None,
-    ):
-        cfg = _with_legacy(
-            config,
-            "CampaignEngine",
-            jobs=jobs,
-            ladder_interval=ladder_interval,
-            keep_results=keep_results,
-            shard_size=shard_size,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
-            retry_backoff_cap=retry_backoff_cap,
-            max_pool_rebuilds=max_pool_rebuilds,
-            serial_fallback=serial_fallback,
-            wall_clock_limit=wall_clock_limit,
-            backend=backend,
-        )
-        self.campaign_config = cfg
-        self.jobs = (
-            (os.cpu_count() or 1) if cfg.jobs is None else max(1, cfg.jobs)
-        )
-        self.ladder_interval = cfg.ladder_interval
-        self.keep_results = cfg.keep_results
-        self.backend = cfg.backend
-        self.shard_size = cfg.shard_size
-        self.max_retries = max(0, cfg.max_retries)
-        self.retry_backoff = max(0.0, cfg.retry_backoff)
-        self.retry_backoff_cap = max(0.0, cfg.retry_backoff_cap)
-        self.max_pool_rebuilds = max(0, cfg.max_pool_rebuilds)
-        self.serial_fallback = cfg.serial_fallback
-        self.wall_clock_limit = cfg.wall_clock_limit
+    def __init__(self, config: CampaignConfig | None = None):
+        self.config = config if config is not None else CampaignConfig()
         self.stats: EngineStats | None = None
         self.telemetry: TelemetryReport | None = None
         self.on_progress = None  # optional callable(done, total)
 
     def _shard_count(self, pending: int, jobs: int, journaling: bool) -> int:
-        if self.shard_size is not None:
-            return max(1, math.ceil(pending / self.shard_size))
+        if self.config.shard_size is not None:
+            return max(1, math.ceil(pending / self.config.shard_size))
         if journaling:
             # Finer grain: each journaled shard is resume credit, and
             # bisection isolates poison plans in fewer halvings.
@@ -676,20 +571,17 @@ class CampaignEngine:
         seed: int,
         config: LetGoConfig | None = None,
         plans: list[InjectionPlan] | None = None,
-        *,
-        journal: str | Path | None = None,
-        resume: str | Path | None = None,
     ) -> CampaignResult:
         """Run *n* injections on *app* under *config* (None = baseline).
 
-        ``journal`` starts a fresh write-ahead journal at that path;
-        ``resume`` loads an existing one, verifies it belongs to this
-        exact campaign, skips already-journaled plans, and appends new
-        shards to the same file.  Either way the returned result is
-        bit-identical to an uninterrupted run with the same seed.  Both
-        default to the engine's :class:`CampaignConfig` values.
+        With ``CampaignConfig.journal`` a fresh write-ahead journal is
+        started at that path; with ``CampaignConfig.resume`` an existing
+        one is loaded, verified to belong to this exact campaign, its
+        plans skipped, and new shards appended to the same file.  Either
+        way the returned result is bit-identical to an uninterrupted run
+        with the same seed.
         """
-        cfg = self.campaign_config
+        cfg = self.config
         tracer = (
             Tracer(tid="engine", probe_interval=cfg.probe_interval)
             if cfg.telemetry_enabled
@@ -697,82 +589,72 @@ class CampaignEngine:
         )
         self.telemetry = None
         t0 = perf_counter()
-        if journal is None:
-            journal = cfg.journal
-        if resume is None:
-            resume = cfg.resume
         if plans is None:
             rng = np.random.default_rng(seed)
             with tracer.span("plan"):
                 plans = plan_injections(rng, app.golden.instret, n)
         elif len(plans) != n:
             raise ValueError("len(plans) must equal n")
-        if journal is not None and resume is not None:
-            raise ValueError(
-                "pass either journal= (fresh) or resume= (existing), not both"
-            )
 
         config_name = config.name if config is not None else "baseline"
-        journal_obj: CampaignJournal | None = None
-        if resume is not None:
-            journal_obj = CampaignJournal.load(resume)
-            journal_obj.verify(
+        journal: CampaignJournal | None = None
+        if cfg.resume is not None:
+            journal = CampaignJournal.load(cfg.resume)
+            journal.verify(
                 JournalHeader.for_campaign(app.name, config_name, n, seed, plans)
             )
-        elif journal is not None:
-            journal_obj = CampaignJournal.create(
-                journal,
+        elif cfg.journal is not None:
+            journal = CampaignJournal.create(
+                cfg.journal,
                 JournalHeader.for_campaign(app.name, config_name, n, seed, plans),
             )
-        if journal_obj is not None:
-            journal_obj.tracer = tracer
+        if journal is not None:
+            journal.tracer = tracer
 
-        settled = (
-            journal_obj.settled_indices if journal_obj is not None else frozenset()
-        )
+        settled = journal.settled_indices if journal is not None else frozenset()
         indexed = [
             (idx, plan) for idx, plan in enumerate(plans) if idx not in settled
         ]
-        resumed_pairs = journal_obj.pairs() if journal_obj is not None else []
+        resumed_pairs = journal.pairs() if journal is not None else []
         prior_quarantine = (
-            [record.index for record in journal_obj.quarantined]
-            if journal_obj is not None
+            [record.index for record in journal.quarantined]
+            if journal is not None
             else []
         )
-        if resume is not None:
+        if cfg.resume is not None:
             tracer.instant(
                 "journal-resume", settled=len(settled), pending=len(indexed)
             )
 
-        use_ladder = self.ladder_interval != NO_LADDER
+        use_ladder = cfg.ladder_interval != NO_LADDER
         # Building (or fetching) the ladder in the parent warms the
         # per-source cache, which fork-based workers inherit for free.
         with tracer.span("ladder"):
-            ladder = app.ladder(self.ladder_interval) if use_ladder else None
+            ladder = app.ladder(cfg.ladder_interval) if use_ladder else None
 
-        jobs = max(1, min(self.jobs, len(indexed))) if indexed else 1
+        wanted = (os.cpu_count() or 1) if cfg.jobs is None else max(1, cfg.jobs)
+        jobs = max(1, min(wanted, len(indexed))) if indexed else 1
         spec = _app_spec(app) if jobs > 1 else None
         if jobs > 1 and spec is None:
             jobs = 1  # un-rederivable app (e.g. a local class): stay in-process
 
         supervisor = _Supervisor(
-            engine=self,
+            campaign=cfg,
             app=app,
             ladder=ladder,
             config=config,
             spec=spec,
             jobs=jobs,
-            journal=journal_obj,
+            journal=journal,
             tracer=tracer,
-            telemetry=tracer.enabled,
-            probe_interval=cfg.probe_interval,
+            on_progress=self.on_progress,
             total=n,
             done_base=len(settled),
         )
         if indexed:
             shards = _split(
                 indexed,
-                self._shard_count(len(indexed), jobs, journal_obj is not None),
+                self._shard_count(len(indexed), jobs, journal is not None),
             )
             with tracer.span("execute"):
                 supervisor.run(shards)
@@ -789,29 +671,31 @@ class CampaignEngine:
                 config_name=config_name,
                 n=len(ordered),
                 counts=dict(counts),
-                results=list(ordered) if self.keep_results else [],
+                results=list(ordered) if cfg.keep_results else [],
             )
 
         elapsed = perf_counter() - t0
+        tally = supervisor.tally
         self.stats = EngineStats(
             n=n,
             jobs=jobs,
             elapsed_seconds=elapsed,
             ladder_interval=ladder.interval if ladder is not None else NO_LADDER,
             ladder_rungs=len(ladder) if ladder is not None else 0,
-            restored=sum(s[0] for s in supervisor.shard_stats),
-            cold_starts=sum(s[1] for s in supervisor.shard_stats),
-            fast_forward_steps=sum(s[2] for s in supervisor.shard_stats),
+            restored=tally["restore"],
+            cold_starts=tally["cold-start"],
+            fast_forward_steps=tally["fast-forward"],
             per_worker_injections=tuple(supervisor.shard_sizes),
-            per_worker_seconds=tuple(s[3] for s in supervisor.shard_stats),
-            retries=supervisor.retries,
-            pool_rebuilds=supervisor.pool_rebuilds,
-            degraded_serial=supervisor.degraded,
+            per_worker_seconds=tuple(supervisor.shard_seconds),
+            retries=tally["retry"],
+            pool_rebuilds=tally["pool-rebuild"],
+            degraded_serial=tally["serial-degrade"] > 0,
             resumed=len(resumed_pairs),
-            timeouts=supervisor.timeouts,
+            timeouts=tally["timeout"],
             quarantined=tuple(sorted(prior_quarantine + supervisor.quarantined)),
         )
         if tracer.enabled:
+            tracer.add_counters(tally)
             self.telemetry = TelemetryReport.from_tracer(
                 tracer, wall_seconds=elapsed
             )
@@ -836,39 +720,8 @@ class CampaignEngine:
         return merged
 
 
-def run_campaign_engine(
-    app: MiniApp,
-    n: int,
-    seed: int,
-    config: LetGoConfig | None = None,
-    *,
-    jobs: int | None | _Unset = _UNSET,
-    ladder_interval: int | None | _Unset = _UNSET,
-    keep_results: bool | _Unset = _UNSET,
-    plans: list[InjectionPlan] | None = None,
-    backend: str | None | _Unset = _UNSET,
-    campaign: CampaignConfig | None = None,
-) -> CampaignResult:
-    """One-shot convenience wrapper around :class:`CampaignEngine`.
-
-    ``campaign`` supplies the :class:`CampaignConfig`; the loose kwargs
-    are the deprecated spelling and override it when passed.
-    """
-    cfg = _with_legacy(
-        campaign,
-        "run_campaign_engine",
-        jobs=jobs,
-        ladder_interval=ladder_interval,
-        keep_results=keep_results,
-        backend=backend,
-    )
-    engine = CampaignEngine(config=cfg)
-    return engine.run(app, n, seed, config, plans=plans)
-
-
 __all__ = [
     "CampaignEngine",
     "EngineStats",
-    "run_campaign_engine",
     "NO_LADDER",
 ]

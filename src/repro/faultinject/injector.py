@@ -214,8 +214,6 @@ def run_injection(
                 deadline, tracer,
             )
     tracer.count(f"outcome:{result.outcome.value}")
-    if result.timed_out:
-        tracer.count("timeout")
     if result.first_signal is not None:
         tracer.count(f"first-signal:{result.first_signal.name}")
     return result

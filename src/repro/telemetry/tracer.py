@@ -181,6 +181,11 @@ class Tracer:
         counters = self.counters
         counters[name] = counters.get(name, 0) + n
 
+    def add_counters(self, counters: dict[str, int]) -> None:
+        """Add a whole tally (name -> int) to this tracer's counters."""
+        for name, value in counters.items():
+            self.count(name, value)
+
     def instant(self, name: str, **args) -> None:
         """Record a point event, with optional structured arguments."""
         self._append(
@@ -234,8 +239,7 @@ class Tracer:
         sum, hence order-independent: absorbing shards in any completion
         order yields identical aggregated counters.
         """
-        for name, value in payload["counters"].items():
-            self.count(name, value)
+        self.add_counters(payload["counters"])
         self.dropped += payload["dropped"]
         for record in payload["records"]:
             shifted = dict(record)

@@ -15,6 +15,7 @@ import pytest
 from repro.core import LETGO_E
 from repro.errors import CampaignAbortedError, JournalError
 from repro.faultinject import (
+    CampaignConfig,
     CampaignEngine,
     CampaignJournal,
     InjectionPlan,
@@ -54,13 +55,27 @@ def _plans(app, n=N, seed=SEED):
 
 
 def _reference(app, config=None, n=N, seed=SEED):
-    return CampaignEngine(jobs=1, keep_results=True).run(app, n, seed, config)
+    return _engine(jobs=1).run(app, n, seed, config)
 
 
-def _engine(**kwargs):
-    kwargs.setdefault("keep_results", True)
-    kwargs.setdefault("retry_backoff", 0.0)
-    return CampaignEngine(**kwargs)
+def _engine(**knobs):
+    knobs.setdefault("keep_results", True)
+    knobs.setdefault("retry_backoff", 0.0)
+    for key in ("journal", "resume"):
+        if key in knobs:
+            knobs[key] = str(knobs[key])
+    return CampaignEngine(config=CampaignConfig(**knobs))
+
+
+def _assert_one_tally(engine):
+    """EngineStats and the telemetry counters are views of one tally."""
+    stats, counters = engine.stats, engine.telemetry.counters
+    assert stats.restored == counters.get("restore", 0)
+    assert stats.cold_starts == counters.get("cold-start", 0)
+    assert stats.retries == counters.get("retry", 0)
+    assert stats.pool_rebuilds == counters.get("pool-rebuild", 0)
+    assert stats.timeouts == counters.get("timeout", 0)
+    assert len(stats.quarantined) == counters.get("quarantine", 0)
 
 
 def test_shard_size_determinism(pennant_app):
@@ -86,11 +101,14 @@ def test_poison_plan_quarantined(pennant_app, tmp_path, monkeypatch, jobs):
 
     monkeypatch.setattr(engine_mod, "run_injection", poisoned)
     journal_path = tmp_path / "c.journal"
-    engine = _engine(jobs=jobs, max_retries=1)
-    result = engine.run(pennant_app, N, SEED, None, journal=journal_path)
+    engine = _engine(
+        jobs=jobs, max_retries=1, journal=journal_path, telemetry=True
+    )
+    result = engine.run(pennant_app, N, SEED, None)
 
     assert engine.stats.quarantined == (7,)
     assert result.n == N - 1
+    _assert_one_tally(engine)
 
     expected = [
         pair for i, pair in enumerate(_fingerprint(reference)[2]) if i != 7
@@ -166,19 +184,18 @@ def test_sigkill_abort_then_resume_is_bit_identical(
     monkeypatch.setattr(engine_mod, "run_injection", killer)
     journal_path = tmp_path / "c.journal"
     crashy = _engine(
-        jobs=2, shard_size=1, max_pool_rebuilds=0, serial_fallback=False
+        jobs=2, shard_size=1, max_pool_rebuilds=0, serial_fallback=False,
+        journal=journal_path,
     )
     with pytest.raises(CampaignAbortedError, match="resume with"):
-        crashy.run(pennant_app, N, SEED, LETGO_E, journal=journal_path)
+        crashy.run(pennant_app, N, SEED, LETGO_E)
 
     completed = CampaignJournal.load(journal_path).completed_indices
     assert 8 not in completed  # the killer shard never journaled
 
     sentinel.unlink()  # the "machine" recovered
-    resumed_engine = _engine(jobs=1)
-    resumed = resumed_engine.run(
-        pennant_app, N, SEED, LETGO_E, resume=journal_path
-    )
+    resumed_engine = _engine(jobs=1, resume=journal_path)
+    resumed = resumed_engine.run(pennant_app, N, SEED, LETGO_E)
     assert resumed_engine.stats.resumed == len(completed)
     assert _fingerprint(resumed) == reference
 
@@ -198,16 +215,16 @@ def test_keyboard_interrupt_leaves_resumable_journal(
 
     monkeypatch.setattr(engine_mod, "run_injection", interrupted)
     journal_path = tmp_path / "c.journal"
-    engine = _engine(jobs=1, shard_size=2)
+    engine = _engine(jobs=1, shard_size=2, journal=journal_path)
     with pytest.raises(KeyboardInterrupt):
-        engine.run(pennant_app, N, SEED, None, journal=journal_path)
+        engine.run(pennant_app, N, SEED, None)
 
     completed = CampaignJournal.load(journal_path).completed_indices
     assert completed == {0, 1, 2, 3, 4, 5}  # shards before the interrupt
 
     monkeypatch.setattr(engine_mod, "run_injection", run_injection)
-    resumed_engine = _engine(jobs=1)
-    resumed = resumed_engine.run(pennant_app, N, SEED, None, resume=journal_path)
+    resumed_engine = _engine(jobs=1, resume=journal_path)
+    resumed = resumed_engine.run(pennant_app, N, SEED, None)
     assert resumed_engine.stats.resumed == 6
     assert _fingerprint(resumed) == _fingerprint(_reference(pennant_app))
 
@@ -227,32 +244,26 @@ def test_degrades_to_serial_when_pool_unavailable(pennant_app, monkeypatch):
 
 def test_journal_resume_rejects_different_campaign(pennant_app, tmp_path):
     journal_path = tmp_path / "c.journal"
-    _engine(jobs=1).run(pennant_app, N, SEED, None, journal=journal_path)
+    _engine(jobs=1, journal=journal_path).run(pennant_app, N, SEED, None)
+    resumer = _engine(jobs=1, resume=journal_path)
     with pytest.raises(JournalError, match="different campaign"):
-        _engine(jobs=1).run(pennant_app, N, SEED + 1, None, resume=journal_path)
+        resumer.run(pennant_app, N, SEED + 1, None)
     with pytest.raises(JournalError, match="different campaign"):
-        _engine(jobs=1).run(pennant_app, N, SEED, LETGO_E, resume=journal_path)
+        resumer.run(pennant_app, N, SEED, LETGO_E)
 
 
-def test_journal_and_resume_are_exclusive(pennant_app, tmp_path):
+def test_journal_and_resume_are_exclusive(tmp_path):
     with pytest.raises(ValueError, match="not both"):
-        _engine(jobs=1).run(
-            pennant_app,
-            N,
-            SEED,
-            None,
-            journal=tmp_path / "a",
-            resume=tmp_path / "b",
-        )
+        _engine(jobs=1, journal=tmp_path / "a", resume=tmp_path / "b")
 
 
 def test_resume_of_complete_journal_runs_nothing(pennant_app, tmp_path):
     journal_path = tmp_path / "c.journal"
-    reference = _engine(jobs=1).run(
-        pennant_app, N, SEED, None, journal=journal_path
+    reference = _engine(jobs=1, journal=journal_path).run(
+        pennant_app, N, SEED, None
     )
-    engine = _engine(jobs=2)
-    resumed = engine.run(pennant_app, N, SEED, None, resume=journal_path)
+    engine = _engine(jobs=2, resume=journal_path)
+    resumed = engine.run(pennant_app, N, SEED, None)
     assert engine.stats.resumed == N
     assert engine.stats.executed == 0
     assert _fingerprint(resumed) == _fingerprint(reference)
@@ -293,7 +304,8 @@ def test_engine_counts_watchdog_timeouts(pennant_app):
         InjectionPlan(dyn_index=1000 + i, bit=45, reg_choice=0.5)
         for i in range(4)
     ]
-    engine = _engine(jobs=1, wall_clock_limit=0.0)
+    engine = _engine(jobs=1, wall_clock_limit=0.0, telemetry=True)
     result = engine.run(pennant_app, 4, SEED, None, plans=plans)
     assert engine.stats.timeouts == 4
     assert result.counts == {Outcome.HANG: 4}
+    _assert_one_tally(engine)

@@ -24,10 +24,15 @@ N = 14
 SEED = 71
 
 
-def _run(app, config=None, **knobs):
+def _campaign(app, config=None, **knobs):
     engine = CampaignEngine(config=CampaignConfig(telemetry=True, **knobs))
     result = engine.run(app, N, SEED, config)
     assert engine.telemetry is not None
+    return result, engine
+
+
+def _run(app, config=None, **knobs):
+    result, engine = _campaign(app, config, **knobs)
     return result, engine.telemetry
 
 
@@ -49,8 +54,9 @@ def test_intervention_counter_matches_results(pennant_app):
 
 
 def test_signature_identical_across_jobs_1_and_4(pennant_app):
-    result_serial, serial = _run(pennant_app, LETGO_E, jobs=1)
-    result_fanout, fanout = _run(pennant_app, LETGO_E, jobs=4)
+    result_serial, serial_engine = _campaign(pennant_app, LETGO_E, jobs=1)
+    result_fanout, fanout_engine = _campaign(pennant_app, LETGO_E, jobs=4)
+    serial, fanout = serial_engine.telemetry, fanout_engine.telemetry
     assert result_serial.counts == result_fanout.counts
     assert serial.signature() == fanout.signature()
     # Restore/cold-start split is geometry-dependent, but their sum is one
@@ -61,6 +67,15 @@ def test_signature_identical_across_jobs_1_and_4(pennant_app):
             + report.counters.get("cold-start", 0)
             == N
         )
+    # EngineStats and the report's counters are two views of one tally.
+    for engine in (serial_engine, fanout_engine):
+        stats, counters = engine.stats, engine.telemetry.counters
+        assert stats.restored == counters.get("restore", 0)
+        assert stats.cold_starts == counters.get("cold-start", 0)
+        assert stats.retries == counters.get("retry", 0)
+        assert stats.pool_rebuilds == counters.get("pool-rebuild", 0)
+        assert stats.timeouts == counters.get("timeout", 0)
+        assert len(stats.quarantined) == counters.get("quarantine", 0)
 
 
 def test_telemetry_does_not_change_outcomes(pennant_app):
