@@ -61,10 +61,12 @@ _WRAP = 1 << 64
 
 
 class _HaltSignal(Exception):
-    """Internal: unwinds a fused chunk when HALT retires.  Never escapes."""
+    """Internal: unwinds a fused chunk when HALT retires.  Never escapes.
 
-
-_HALT = _HaltSignal()
+    Raised as a fresh instance per halt: re-raising one shared instance
+    would chain each run's traceback onto the last, keeping every halted
+    CPU (its closures and memory) reachable forever.
+    """
 
 # -- fusion planning ---------------------------------------------------------
 
@@ -739,7 +741,7 @@ def _build_tables(cpu: "CompiledCPU"):
             cpu.halted = True
             cpu.exit_code = iregs[0]
             extra[0] += 1  # HALT retires, then the chunk unwinds
-            raise _HALT
+            raise _HaltSignal()
         return halt
 
     def make_fused_cmp_branch(pc: int, ins: Instr, tail: Instr):
@@ -826,7 +828,8 @@ class CompiledCPU(CPU):
     the interpreter's.
     """
 
-    __slots__ = ("_code", "_safe", "_extra", "_wild")
+    # ``__weakref__`` lets a caller check that a finished CPU is freed.
+    __slots__ = ("_code", "_safe", "_extra", "_wild", "__weakref__")
 
     def __init__(self, program, memory):
         super().__init__(program, memory)

@@ -9,7 +9,9 @@ runs the same workload on both backends and compares exhaustively.
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -160,6 +162,18 @@ def test_golden_run_bit_identical(suite, name):
     # and both agree with the cached golden facts
     assert facts[0][1] == app.golden.instret
     assert facts[0][4] == app.golden.output
+
+
+def test_halted_compiled_cpus_are_freed(suite):
+    """No CPU outlives its run: halting must not pin it (or its memory)."""
+    refs = []
+    for name in ("pennant", "hpl", "comd"):
+        process = suite[name].load("compiled")
+        assert process.run(suite[name].max_steps).reason == "exited"
+        refs.append(weakref.ref(process.cpu))
+        del process
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 # -- app-level: seeded injection sample --------------------------------------
