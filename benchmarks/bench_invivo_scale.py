@@ -21,8 +21,9 @@ import os
 
 import numpy as np
 
+from repro.checkpoint import CRParams, Policy
 from repro.core import LETGO_E
-from repro.parallel import ClusterCRParams, ClusterPolicy, HeatApp, drive_cluster
+from repro.parallel import HeatApp, drive_cluster
 from repro.reporting import ascii_table
 
 from conftest import write_artifact
@@ -34,9 +35,9 @@ SIZES = (2, 4, 8)
 TOTAL_CELLS = 48  # global problem held constant (strong scaling)
 
 VARIANTS = (
-    ("cr", ClusterPolicy.CR, {}),
-    ("letgo-safe", ClusterPolicy.CR_LETGO, {"letgo": LETGO_E}),
-    ("letgo-naive", ClusterPolicy.CR_LETGO, {"letgo": LETGO_E, "repair_comm": True}),
+    ("cr", Policy.CR, {}),
+    ("letgo-safe", Policy.CR_LETGO, {"letgo": LETGO_E}),
+    ("letgo-naive", Policy.CR_LETGO, {"letgo": LETGO_E, "repair_comm": True}),
 )
 
 
@@ -46,7 +47,7 @@ def build_study():
     for size in SIZES:
         app = HeatApp(size=size, n_local=TOTAL_CELLS // size)
         app.golden
-        params = ClusterCRParams(
+        params = CRParams(
             interval=20_000,
             t_chk=3_000,
             t_sync=300 * size,

@@ -14,13 +14,9 @@ Run:  python examples/parallel_heat.py
 
 import numpy as np
 
+from repro.checkpoint import CRParams, Policy
 from repro.core import LETGO_E
-from repro.parallel import (
-    ClusterCRParams,
-    ClusterPolicy,
-    HeatApp,
-    drive_cluster,
-)
+from repro.parallel import HeatApp, drive_cluster
 from repro.reporting import ascii_table
 
 
@@ -32,7 +28,7 @@ def main() -> None:
     print(f"global heat conserved: {total0:.12f} -> {totalf:.12f}")
     print(f"acceptance check: {app.acceptance_check(outputs)}\n")
 
-    params = ClusterCRParams(
+    params = CRParams(
         interval=20_000,
         t_chk=3_000,
         t_sync=1_200,
@@ -42,9 +38,9 @@ def main() -> None:
     seeds = range(10)
     rows = []
     for label, policy, kwargs in (
-        ("no fault tolerance", ClusterPolicy.NONE, {}),
-        ("coordinated C/R", ClusterPolicy.CR, {}),
-        ("C/R + LetGo (comm-safe)", ClusterPolicy.CR_LETGO, {"letgo": LETGO_E}),
+        ("no fault tolerance", Policy.NONE, {}),
+        ("coordinated C/R", Policy.CR, {}),
+        ("C/R + LetGo (comm-safe)", Policy.CR_LETGO, {"letgo": LETGO_E}),
     ):
         runs = [drive_cluster(app, params, policy, seed=s, **kwargs) for s in seeds]
         rows.append(

@@ -7,7 +7,6 @@ against measured behaviour.
 """
 
 from repro.checkpoint.driver import (
-    CheckpointedRun,
     CRParams,
     CRRunResult,
     Policy,
@@ -32,6 +31,5 @@ __all__ = [
     "Policy",
     "CRParams",
     "CRRunResult",
-    "CheckpointedRun",
     "drive",
 ]

@@ -242,16 +242,12 @@ def _cmd_sites(args: argparse.Namespace) -> int:
 def _cmd_parallel(args: argparse.Namespace) -> int:
     import numpy as np
 
+    from repro.checkpoint import CRParams, Policy
     from repro.core import LETGO_E
-    from repro.parallel import (
-        ClusterCRParams,
-        ClusterPolicy,
-        HeatApp,
-        drive_cluster,
-    )
+    from repro.parallel import HeatApp, drive_cluster
 
     app = HeatApp(size=args.ranks)
-    params = ClusterCRParams(
+    params = CRParams(
         interval=20_000,
         t_chk=3_000,
         t_sync=300 * args.ranks,
@@ -260,9 +256,9 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
     )
     rows = []
     for label, policy, kwargs in (
-        ("none", ClusterPolicy.NONE, {}),
-        ("cr", ClusterPolicy.CR, {}),
-        ("cr+letgo", ClusterPolicy.CR_LETGO, {"letgo": LETGO_E}),
+        ("none", Policy.NONE, {}),
+        ("cr", Policy.CR, {}),
+        ("cr+letgo", Policy.CR_LETGO, {"letgo": LETGO_E}),
     ):
         runs = [
             drive_cluster(app, params, policy, seed=s, **kwargs)

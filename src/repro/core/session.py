@@ -8,6 +8,9 @@ debug session, implementing the full Figure-3 interaction loop:
 2. run; on an intercepted signal, stop;
 3. repair state, advance the PC;
 4. resume; a *second* crash (or an unhandled signal) terminates the run.
+
+Step 3 is :meth:`LetGoSession.repair`, which the executed C/R loop
+(:mod:`repro.checkpoint.driver`) calls too.
 """
 
 from __future__ import annotations
@@ -19,9 +22,14 @@ from repro.analysis.functions import FunctionTable
 from repro.core.config import LetGoConfig
 from repro.core.modifier import InterventionRecord, Modifier
 from repro.core.monitor import Monitor
-from repro.machine.debugger import STOP_BUDGET, STOP_EXITED, STOP_TRAP
+from repro.machine.debugger import (
+    STOP_BUDGET,
+    STOP_EXITED,
+    STOP_TRAP,
+    DebugSession,
+)
 from repro.machine.process import Process
-from repro.machine.signals import Signal
+from repro.machine.signals import Signal, Trap
 from repro.telemetry.tracer import NULL_TRACER
 
 #: Final status values of a LetGo-supervised run.
@@ -138,17 +146,13 @@ class LetGoSession:
                 )
             assert event.kind == STOP_TRAP and event.trap is not None
             trap = event.trap
-            intercepted = self.monitor.intercepts(trap.signal)
-            tracer.count(
-                f"signal:{trap.signal.name}:"
-                + ("intercept" if intercepted else "default")
+            allowance = (
+                self.config.max_interventions - len(interventions)
+                if remaining > 0
+                else 0
             )
-            can_repair = (
-                intercepted
-                and len(interventions) < self.config.max_interventions
-                and remaining > 0
-            )
-            if not can_repair:
+            record = self.repair(session, trap, allowance, tracer)
+            if record is None:
                 session.deliver_default(trap)
                 return LetGoRunReport(
                     status=TERMINATED,
@@ -157,14 +161,40 @@ class LetGoSession:
                     final_signal=trap.signal,
                     output=list(process.output),
                 )
-            with tracer.span("repair"):
-                record = self.modifier.repair(session, trap)
             interventions.append(record)
-            tracer.count("intervention")
-            if record.h1_fired:
-                tracer.count("heuristic:H1")
-            if record.h2_fired:
-                tracer.count("heuristic:H2")
+
+    def repair(
+        self,
+        session: DebugSession,
+        trap: Trap,
+        allowance: int,
+        tracer=NULL_TRACER,
+    ) -> InterventionRecord | None:
+        """Repair the crash *trap* stopped *session* at, if policy allows.
+
+        The one LetGo repair step, shared by :meth:`run` and the executed
+        C/R loop: the monitor must intercept the signal and *allowance*
+        (repairs still permitted) must be positive; otherwise nothing is
+        touched and ``None`` tells the caller to fall back to the signal's
+        default (kill, or roll back).  ``tracer`` counts the signal's
+        disposition on every call, and times the repair and counts the
+        heuristics that fired when one is made.
+        """
+        intercepted = self.monitor.intercepts(trap.signal)
+        tracer.count(
+            f"signal:{trap.signal.name}:"
+            + ("intercept" if intercepted else "default")
+        )
+        if not intercepted or allowance <= 0:
+            return None
+        with tracer.span("repair"):
+            record = self.modifier.repair(session, trap)
+        tracer.count("intervention")
+        if record.h1_fired:
+            tracer.count("heuristic:H1")
+        if record.h2_fired:
+            tracer.count("heuristic:H2")
+        return record
 
 
 def run_under_letgo(

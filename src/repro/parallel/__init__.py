@@ -10,11 +10,7 @@ from repro.machine.cluster import Cluster, ClusterEvent, Network
 from repro.parallel.app import HeatApp, ParallelApp, RankOutputs
 from repro.parallel.cg import CgApp
 from repro.parallel.driver import (
-    ClusterCRParams,
-    ClusterPolicy,
-    ClusterRunResult,
     ClusterSnapshot,
-    CoordinatedRun,
     drive_cluster,
     restore_cluster,
     take_cluster_snapshot,
@@ -28,12 +24,8 @@ __all__ = [
     "HeatApp",
     "CgApp",
     "RankOutputs",
-    "ClusterPolicy",
-    "ClusterCRParams",
     "ClusterSnapshot",
     "take_cluster_snapshot",
     "restore_cluster",
-    "ClusterRunResult",
-    "CoordinatedRun",
     "drive_cluster",
 ]

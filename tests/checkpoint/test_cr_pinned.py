@@ -13,7 +13,7 @@ import pytest
 
 from repro.checkpoint import CRParams, Policy, drive
 from repro.core import LETGO_E
-from repro.parallel import ClusterCRParams, ClusterPolicy, HeatApp, drive_cluster
+from repro.parallel import HeatApp, drive_cluster
 
 PARAMS = CRParams(interval=15_000, t_chk=3_000, t_letgo=100, mtbf_faults=50_000.0)
 
@@ -107,11 +107,11 @@ def test_process_results_pinned(request, app_name, policy, seed, expected):
 
 @pytest.mark.parametrize("mtbf, policy, repair_comm, seed, expected", CLUSTER_ROWS)
 def test_cluster_results_pinned(heat, mtbf, policy, repair_comm, seed, expected):
-    params = ClusterCRParams(
+    params = CRParams(
         interval=20_000, t_chk=3_000, t_sync=1_200, t_letgo=100, mtbf_faults=mtbf
     )
-    policy = ClusterPolicy[policy]
-    kwargs = {"letgo": LETGO_E} if policy is ClusterPolicy.CR_LETGO else {}
+    policy = Policy[policy]
+    kwargs = _kwargs(policy)
     if repair_comm:
         kwargs["repair_comm"] = True
     result = drive_cluster(heat, params, policy, seed=seed, **kwargs)

@@ -10,12 +10,15 @@ from repro.core import (
     LETGO_E,
     TERMINATED,
     LetGoConfig,
+    LetGoSession,
     run_under_letgo,
 )
 from repro.isa import assemble
 from repro.isa.registers import SP
 from repro.lang import compile_source
-from repro.machine import Process, Signal
+from repro.machine import DebugSession, Process, Signal
+from repro.machine.debugger import STOP_TRAP
+from repro.telemetry import Tracer
 
 #: A program whose single crash site is skippable: after the bad load the
 #: program carries on and prints a value.
@@ -144,6 +147,50 @@ main:
     assert not report.intervened
     assert not report.gave_up
     assert report.final_signal is Signal.SIGFPE
+
+
+def _trapped(asm):
+    """A debug session stopped at the first trap of *asm*, and the trap."""
+    program = assemble(asm)
+    session = DebugSession(Process.load(program))
+    event = session.cont(10**6)
+    assert event.kind == STOP_TRAP
+    return LetGoSession(LETGO_E, FunctionTable(program)), session, event.trap
+
+
+@pytest.mark.parametrize(
+    "signal, allowance, repaired",
+    [
+        (Signal.SIGSEGV, 1, True),
+        (Signal.SIGSEGV, 0, False),
+        (Signal.SIGSEGV, -1, False),
+        (Signal.SIGFPE, 1, False),
+    ],
+)
+def test_repair_step_policy_and_counters(signal, allowance, repaired):
+    """The one repair step: intercepted signal and a positive allowance,
+    else ``None``; the disposition is counted exactly once per call."""
+    asm = SKIPPABLE if signal is Signal.SIGSEGV else SKIPPABLE.replace(
+        "ld r2, [r1 + 0]      ; segfault (null load)", "div r2, r3, r1"
+    )
+    letgo, session, trap = _trapped(asm)
+    assert trap.signal is signal
+    pc = session.process.cpu.pc
+    tracer = Tracer(tid="t")
+    record = letgo.repair(session, trap, allowance, tracer)
+    disposition = "intercept" if signal is Signal.SIGSEGV else "default"
+    signal_counts = {
+        k: v for k, v in tracer.counters.items() if k.startswith("signal:")
+    }
+    assert signal_counts == {f"signal:{signal.name}:{disposition}": 1}
+    if repaired:
+        assert record is not None and record.signal is signal
+        assert session.process.cpu.pc == pc + 1
+        assert tracer.counters["intervention"] == 1
+    else:
+        assert record is None
+        assert session.process.cpu.pc == pc  # nothing touched
+        assert "intervention" not in tracer.counters
 
 
 def test_sigabrt_elided():

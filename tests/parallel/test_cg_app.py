@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core import LETGO_E
-from repro.parallel import ClusterCRParams, ClusterPolicy, drive_cluster
+from repro.checkpoint import CRParams, Policy
+from repro.parallel import drive_cluster
 from repro.parallel.cg import CgApp
 
 
@@ -62,13 +63,13 @@ def test_size_independence():
 
 
 def test_under_coordinated_cr(cg):
-    params = ClusterCRParams(
+    params = CRParams(
         interval=25_000, t_chk=3_000, t_letgo=100, mtbf_faults=20_000.0
     )
     completed = 0
     for seed in range(4):
         result = drive_cluster(
-            cg, params, ClusterPolicy.CR_LETGO, seed=seed, letgo=LETGO_E
+            cg, params, Policy.CR_LETGO, seed=seed, letgo=LETGO_E
         )
         completed += result.completed
     assert completed >= 3

@@ -3,22 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.checkpoint import CRParams, Policy
 from repro.core import LETGO_E
 from repro.errors import SimulationError
 from repro.parallel import (
-    ClusterCRParams,
-    ClusterPolicy,
-    CoordinatedRun,
     HeatApp,
     drive_cluster,
     restore_cluster,
     take_cluster_snapshot,
 )
 
-PARAMS = ClusterCRParams(
+PARAMS = CRParams(
     interval=20_000, t_chk=4_000, t_sync=400, t_letgo=100, mtbf_faults=15_000.0
 )
-CALM = ClusterCRParams(interval=40_000, t_chk=1_000, mtbf_faults=10**9)
+CALM = CRParams(interval=40_000, t_chk=1_000, mtbf_faults=10**9)
 
 
 @pytest.fixture(scope="module")
@@ -30,12 +28,12 @@ def heat():
 
 def test_params_validation():
     with pytest.raises(SimulationError):
-        ClusterCRParams(interval=0, t_chk=1)
+        CRParams(interval=0, t_chk=1)
 
 
 def test_letgo_policy_needs_config(heat):
     with pytest.raises(SimulationError):
-        CoordinatedRun(heat, PARAMS, ClusterPolicy.CR_LETGO, seed=0)
+        drive_cluster(heat, PARAMS, Policy.CR_LETGO, seed=0)
 
 
 def test_cluster_snapshot_roundtrip(heat):
@@ -53,43 +51,57 @@ def test_cluster_snapshot_roundtrip(heat):
 
 
 def test_fault_free_run(heat):
-    result = drive_cluster(heat, CALM, ClusterPolicy.CR, seed=1)
+    result = drive_cluster(heat, CALM, Policy.CR, seed=1)
     assert result.completed and result.outcome == "benign"
     assert result.faults_injected == 0
     assert result.rollbacks == 0
     assert result.cost == heat.golden_steps + result.checkpoints * CALM.t_chk
 
 
+@pytest.mark.parametrize("policy", [Policy.NONE, Policy.CR])
+def test_fault_free_run_is_golden(heat, policy):
+    """No faults: golden outputs, and cost is work plus coordinated
+    checkpoints, each charged ``t_chk + t_sync``."""
+    params = CRParams(interval=40_000, t_chk=1_000, t_sync=300, mtbf_faults=10**9)
+    result = drive_cluster(heat, params, policy, seed=1)
+    assert result.outcome == "benign" and result.size == heat.size
+    assert result.output == heat.golden_outputs
+    assert result.cost == result.useful + result.checkpoints * (
+        params.t_chk + params.t_sync
+    )
+    assert result.checkpoints == (0 if policy is Policy.NONE else 2)
+
+
 def test_none_policy_no_checkpoints(heat):
-    result = drive_cluster(heat, CALM, ClusterPolicy.NONE, seed=1)
+    result = drive_cluster(heat, CALM, Policy.NONE, seed=1)
     assert result.completed
     assert result.checkpoints == 0
     assert result.cost == heat.golden_steps
 
 
 def test_deterministic(heat):
-    a = drive_cluster(heat, PARAMS, ClusterPolicy.CR_LETGO, seed=7, letgo=LETGO_E)
-    b = drive_cluster(heat, PARAMS, ClusterPolicy.CR_LETGO, seed=7, letgo=LETGO_E)
+    a = drive_cluster(heat, PARAMS, Policy.CR_LETGO, seed=7, letgo=LETGO_E)
+    b = drive_cluster(heat, PARAMS, Policy.CR_LETGO, seed=7, letgo=LETGO_E)
     assert a.cost == b.cost and a.outcome == b.outcome
 
 
 def test_cr_completes_under_faults(heat):
     completed = 0
     for seed in range(6):
-        result = drive_cluster(heat, PARAMS, ClusterPolicy.CR, seed=seed)
+        result = drive_cluster(heat, PARAMS, Policy.CR, seed=seed)
         completed += result.completed
     assert completed >= 5
 
 
 def test_letgo_not_worse_than_cr(heat):
     cr = np.mean(
-        [drive_cluster(heat, PARAMS, ClusterPolicy.CR, seed=s).efficiency
+        [drive_cluster(heat, PARAMS, Policy.CR, seed=s).efficiency
          for s in range(6)]
     )
     lg = np.mean(
         [
             drive_cluster(
-                heat, PARAMS, ClusterPolicy.CR_LETGO, seed=s, letgo=LETGO_E
+                heat, PARAMS, Policy.CR_LETGO, seed=s, letgo=LETGO_E
             ).efficiency
             for s in range(6)
         ]
@@ -98,9 +110,9 @@ def test_letgo_not_worse_than_cr(heat):
 
 
 def test_unprotected_cluster_can_die(heat):
-    hot = ClusterCRParams(interval=20_000, t_chk=4_000, mtbf_faults=4_000.0)
+    hot = CRParams(interval=20_000, t_chk=4_000, mtbf_faults=4_000.0)
     outcomes = [
-        drive_cluster(heat, hot, ClusterPolicy.NONE, seed=s).outcome
+        drive_cluster(heat, hot, Policy.NONE, seed=s).outcome
         for s in range(6)
     ]
     assert any(o in ("dead", "deadlocked") for o in outcomes)
@@ -108,10 +120,10 @@ def test_unprotected_cluster_can_die(heat):
 
 def test_poisoned_checkpoint_restart_bounded(heat):
     """No run should loop forever on a corrupt checkpoint."""
-    hot = ClusterCRParams(
+    hot = CRParams(
         interval=15_000, t_chk=3_000, t_letgo=100, mtbf_faults=6_000.0
     )
     for seed in range(4):
-        result = drive_cluster(heat, hot, ClusterPolicy.CR, seed=seed)
+        result = drive_cluster(heat, hot, Policy.CR, seed=seed)
         # either completes, or gives up within the budget with few rollbacks
         assert result.rollbacks < 200
