@@ -1,6 +1,6 @@
 """Shared benchmark fixtures: cached apps and fault-injection campaigns.
 
-The expensive work (compiling apps, golden profiling, injection campaigns)
+The expensive work (compiling apps, golden runs, injection campaigns)
 happens once per session in fixtures; individual benches aggregate and
 assert on the shared results, and time the kernels that are theirs alone.
 

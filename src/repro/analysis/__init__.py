@@ -2,9 +2,9 @@
 
 Provides exactly what LetGo needs from PIN -- next-PC is trivial in this
 ISA (``pc+1``), so the load-bearing pieces are function/frame discovery
-(:class:`FunctionTable`, Heuristic II) and dynamic-instruction profiling
-(:func:`profile_program`, fault-injection phase 1) -- plus a CFG builder
-and objdump-style reports.
+(:class:`FunctionTable`, Heuristic II) -- plus per-PC execution
+profiling (:func:`profile_program`), a CFG builder and objdump-style
+reports.
 """
 
 from repro.analysis.cfg import (

@@ -1,10 +1,11 @@
-"""Dynamic-instruction profiling (phase 1 of the paper's fault injection).
+"""Dynamic-instruction profiling: per-PC execution counts of a golden run.
 
 The paper runs each application once under PIN to (a) count total dynamic
 instructions -- the population faults are drawn from -- and (b) record how
 often each static instruction executes, so a fault can be placed at "the
-k-th dynamic instance of instruction s".  :func:`profile_program` produces
-both, plus the golden output the outcome classifier compares against.
+k-th dynamic instance of instruction s".  Campaigns need only (a), which
+``MiniApp.golden`` gets from one plain run; :func:`profile_program` adds
+(b) for analysis and reports.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.analysis.functions import FunctionTable
-from repro.analysis.profiler import Profile, profile_program
+from repro.errors import AnalysisError
 from repro.isa.program import Program
 from repro.lang.compiler import CompiledUnit, compile_unit
 from repro.machine.process import Process
@@ -33,12 +33,15 @@ if TYPE_CHECKING:  # checkpoint.driver imports apps.base; break the cycle
 
 Output = list[tuple[str, int | float]]
 
-# Compilation, golden profiling and golden-run snapshot ladders are
+#: Instruction cap of the golden run.
+GOLDEN_MAX_STEPS = 500_000_000
+
+# Compilation, the golden run and golden-run snapshot ladders are
 # deterministic functions of the source text (plus the ladder interval);
 # share them across app instances (tests, CLI, benches all instantiate
 # apps freely, and campaign workers re-derive apps from their spec).
 _UNIT_CACHE: dict[str, CompiledUnit] = {}
-_PROFILE_CACHE: dict[str, Profile] = {}
+_GOLDEN_CACHE: dict[str, "GoldenRun"] = {}
 _LADDER_CACHE: dict[tuple[str, int], "SnapshotLadder"] = {}
 
 
@@ -129,25 +132,31 @@ class MiniApp(ABC):
     # -- golden facts ----------------------------------------------------------
 
     @cached_property
-    def profile(self) -> Profile:
-        """Golden profiling run (paper's one-time PIN pass), shared
-        across instances of the same source."""
-        source = self.source
-        profile = _PROFILE_CACHE.get(source)
-        if profile is None:
-            profile = profile_program(self.program)
-            _PROFILE_CACHE[source] = profile
-        return profile
-
-    @cached_property
     def golden(self) -> GoldenRun:
-        """Reference output/instruction count."""
-        prof = self.profile
-        return GoldenRun(
-            output=tuple(prof.output),
-            instret=prof.total,
-            exit_code=prof.exit_code,
-        )
+        """Reference output/instruction count: one fault-free run on the
+        default backend, shared across instances of the same source.
+
+        Raises :class:`AnalysisError` if that run traps or does not halt
+        within :data:`GOLDEN_MAX_STEPS` -- a program that cannot complete
+        cleanly cannot serve as a fault-injection target.
+        """
+        source = self.source
+        golden = _GOLDEN_CACHE.get(source)
+        if golden is None:
+            process = self.load()
+            run = process.run(GOLDEN_MAX_STEPS)
+            if run.reason != "exited":
+                raise AnalysisError(
+                    f"{self.name} golden run did not exit cleanly "
+                    f"({run.trap or run.reason})"
+                )
+            golden = GoldenRun(
+                output=tuple(process.output),
+                instret=process.cpu.instret,
+                exit_code=process.exit_code,
+            )
+            _GOLDEN_CACHE[source] = golden
+        return golden
 
     @cached_property
     def functions(self) -> FunctionTable:

@@ -35,6 +35,7 @@ from repro.core.config import LetGoConfig
 from repro.core.session import LetGoSession
 from repro.errors import SimulationError
 from repro.faultinject.fault_model import flip_bit, select_target
+from repro.faultinject.outcomes import classify_output
 from repro.isa.instructions import Op
 from repro.machine.debugger import STOP_EXITED, STOP_TRAP, DebugSession
 
@@ -223,7 +224,7 @@ def run_cr(
         if event.kind == STOP_EXITED:
             result.completed = True
             result.output = machine.outputs()
-            result.outcome = _classify(app, result.output)
+            result.outcome = classify_output(app, result.output, False).value
             return result
 
         if event.kind == STOP_TRAP:
@@ -297,14 +298,6 @@ def _inject(rng: np.random.Generator, machine: Machine) -> None:
     if target is None:
         return
     flip_bit(cpu, target[0], target[1], int(rng.integers(64)))
-
-
-def _classify(app: MiniApp | ParallelApp, output) -> str:
-    if not app.acceptance_check(output):
-        return "detected"
-    if app.matches_golden(output):
-        return "benign"
-    return "sdc"
 
 
 def drive(

@@ -6,6 +6,7 @@ the OS kill it, per the configured variant (LetGo-B / LetGo-E / ablations).
 """
 
 from repro.core.config import (
+    BASELINE,
     LETGO_B,
     LETGO_E,
     LETGO_H1,
@@ -32,6 +33,7 @@ from repro.core.session import (
 
 __all__ = [
     "LetGoConfig",
+    "BASELINE",
     "LETGO_B",
     "LETGO_E",
     "LETGO_H1",

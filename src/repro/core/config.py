@@ -48,6 +48,16 @@ class LetGoConfig:
         return " ".join(parts)
 
 
+#: The no-LetGo baseline: an empty signal table leaves every signal at its
+#: default disposition, so the first crash kills the run.  Not a variant:
+#: sweeps and the CLI spell it ``config=None``.
+BASELINE = LetGoConfig(
+    name="baseline",
+    heuristic1=False,
+    heuristic2=False,
+    handled_signals=frozenset(),
+)
+
 #: The paper's basic variant: PC advance only.
 LETGO_B = LetGoConfig(name="LetGo-B", heuristic1=False, heuristic2=False)
 
@@ -63,4 +73,4 @@ VARIANTS: dict[str, LetGoConfig] = {
     c.name: c for c in (LETGO_B, LETGO_E, LETGO_H1, LETGO_H2)
 }
 
-__all__ = ["LetGoConfig", "LETGO_B", "LETGO_E", "LETGO_H1", "LETGO_H2", "VARIANTS"]
+__all__ = ["LetGoConfig", "BASELINE", "LETGO_B", "LETGO_E", "LETGO_H1", "LETGO_H2", "VARIANTS"]

@@ -110,15 +110,12 @@ class LetGoSession:
         interventions: list[InterventionRecord] = []
         remaining = max_steps
         total_steps = 0
+        final_signal: Signal | None = None
+        timed_out = False
         while True:
             if deadline is not None and perf_counter() >= deadline:
-                return LetGoRunReport(
-                    status=HUNG,
-                    steps=total_steps,
-                    interventions=interventions,
-                    output=list(process.output),
-                    timed_out=True,
-                )
+                status, timed_out = HUNG, True
+                break
             chunk = (
                 remaining
                 if deadline is None
@@ -128,22 +125,13 @@ class LetGoSession:
             total_steps += event.steps
             remaining -= event.steps
             if event.kind == STOP_EXITED:
-                return LetGoRunReport(
-                    status=COMPLETED,
-                    steps=total_steps,
-                    interventions=interventions,
-                    exit_code=process.exit_code,
-                    output=list(process.output),
-                )
+                status = COMPLETED
+                break
             if event.kind == STOP_BUDGET:
                 if remaining > 0:
                     continue  # artificial watchdog-slice boundary, not a hang
-                return LetGoRunReport(
-                    status=HUNG,
-                    steps=total_steps,
-                    interventions=interventions,
-                    output=list(process.output),
-                )
+                status = HUNG
+                break
             assert event.kind == STOP_TRAP and event.trap is not None
             trap = event.trap
             allowance = (
@@ -154,14 +142,18 @@ class LetGoSession:
             record = self.repair(session, trap, allowance, tracer)
             if record is None:
                 session.deliver_default(trap)
-                return LetGoRunReport(
-                    status=TERMINATED,
-                    steps=total_steps,
-                    interventions=interventions,
-                    final_signal=trap.signal,
-                    output=list(process.output),
-                )
+                status, final_signal = TERMINATED, trap.signal
+                break
             interventions.append(record)
+        return LetGoRunReport(
+            status=status,
+            steps=total_steps,
+            interventions=interventions,
+            final_signal=final_signal,
+            exit_code=process.exit_code if status == COMPLETED else None,
+            output=list(process.output),
+            timed_out=timed_out,
+        )
 
     def repair(
         self,

@@ -40,6 +40,7 @@ from repro.faultinject.outcomes import (
     LETGO_CRASH_OUTCOMES,
     Outcome,
     classify_finished,
+    classify_output,
 )
 from repro.faultinject.persistence import (
     atomic_write_text,
@@ -75,6 +76,7 @@ __all__ = [
     "FINISHED_OUTCOMES",
     "LETGO_CRASH_OUTCOMES",
     "classify_finished",
+    "classify_output",
     "LetGoMetrics",
     "Proportion",
     "proportion",

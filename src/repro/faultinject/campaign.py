@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.apps.base import MiniApp
-from repro.core.config import LetGoConfig
+from repro.core.config import BASELINE, LetGoConfig
 from repro.faultinject.fault_model import InjectionPlan, plan_injections
 from repro.faultinject.injector import InjectionResult
 from repro.faultinject.metrics import (
@@ -444,7 +444,7 @@ def run_paired_campaigns(
     plans = plan_injections(rng, app.golden.instret, n)
     out: dict[str, CampaignResult] = {}
     for config in configs:
-        name = config.name if config is not None else "baseline"
+        name = (config or BASELINE).name
         out[name] = run_campaign(
             app, n, seed, config, plans=plans, campaign=campaign
         )

@@ -63,7 +63,7 @@ import numpy as np
 
 from repro.apps.base import MiniApp
 from repro.checkpoint.snapshot import SnapshotLadder, restore_into, snapshot
-from repro.core.config import LetGoConfig
+from repro.core.config import BASELINE, LetGoConfig
 from repro.errors import CampaignAbortedError
 from repro.faultinject.campaign import CampaignConfig, CampaignResult
 from repro.faultinject.fault_model import InjectionPlan, plan_injections
@@ -596,7 +596,7 @@ class CampaignEngine:
         elif len(plans) != n:
             raise ValueError("len(plans) must equal n")
 
-        config_name = config.name if config is not None else "baseline"
+        config_name = (config or BASELINE).name
         journal: CampaignJournal | None = None
         if cfg.resume is not None:
             journal = CampaignJournal.load(cfg.resume)

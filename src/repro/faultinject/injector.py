@@ -1,10 +1,12 @@
 """Single-fault injection runs (paper section 5.4, phase 2).
 
 A run advances a fresh process to the planned dynamic instruction, flips
-the planned bit in the register that instruction produced, and then either
-lets the default OS behaviour apply (baseline: any trap kills the process)
-or hands supervision to LetGo.  The resulting :class:`InjectionResult`
-carries the Figure-4 leaf plus enough detail for per-site analysis.
+the planned bit in the register that instruction produced, and then hands
+the rest of the run to a :class:`LetGoSession`.  The no-LetGo baseline is
+the same session under :data:`BASELINE`, whose empty signal table leaves
+every signal at its default disposition: the first trap kills the process.
+The resulting :class:`InjectionResult` carries the Figure-4 leaf plus
+enough detail for per-site analysis.
 
 Runs accept an optional **wall-clock watchdog** (``wall_clock_limit``
 seconds): the instruction budget already converts infinite loops into
@@ -22,13 +24,12 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from repro.apps.base import MiniApp
-from repro.core.config import LetGoConfig
-from repro.core.session import COMPLETED, HUNG, WATCHDOG_SLICE, LetGoSession
+from repro.core.config import BASELINE, LetGoConfig
+from repro.core.session import COMPLETED, HUNG, LetGoRunReport, LetGoSession
 from repro.errors import InjectionError
 from repro.faultinject.fault_model import InjectionPlan, flip_bit, select_target
-from repro.faultinject.outcomes import Outcome, classify_finished
+from repro.faultinject.outcomes import Outcome, classify_output
 from repro.machine.debugger import (
-    STOP_BUDGET,
     STOP_EXITED,
     STOP_STEPS_DONE,
     STOP_TRAP,
@@ -128,31 +129,6 @@ def _advance_and_flip(
             return None
 
 
-def _cont_watchdog(
-    session: DebugSession, budget: int, deadline: float | None
-) -> tuple[StopEvent, bool]:
-    """``session.cont(budget)`` with an optional wall-clock deadline.
-
-    Returns (event, timed_out).  With no deadline this is exactly one
-    ``cont`` call; with one, the budget is consumed in watchdog slices and
-    the clock checked between them, so an expired run surfaces as a
-    budget-style stop at the next slice boundary.
-    """
-    if deadline is None:
-        return session.cont(budget), False
-    remaining = budget
-    while True:
-        if perf_counter() >= deadline:
-            return (
-                StopEvent(STOP_BUDGET, 0, pc=session.process.cpu.pc),
-                True,
-            )
-        event = session.cont(min(remaining, WATCHDOG_SLICE))
-        remaining -= event.steps
-        if event.kind != STOP_BUDGET or remaining <= 0:
-            return event, False
-
-
 def run_injection(
     app: MiniApp,
     plan: InjectionPlan,
@@ -163,7 +139,8 @@ def run_injection(
     backend: str | None = None,
     tracer=None,
 ) -> InjectionResult:
-    """Execute one injection run; ``config=None`` is the no-LetGo baseline.
+    """Execute one injection run; ``config=None`` is the no-LetGo baseline
+    (:data:`~repro.core.config.BASELINE`).
 
     ``session`` optionally supplies a pre-positioned golden-path session
     (e.g. restored from a snapshot-ladder rung at or before the plan's
@@ -183,6 +160,7 @@ def run_injection(
     costs nothing and never alters the result.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
+    config = config or BASELINE
     deadline = (
         perf_counter() + wall_clock_limit
         if wall_clock_limit is not None
@@ -203,109 +181,44 @@ def run_injection(
         target_pc, target_reg = placed
         tracer.instant("flip", pc=target_pc, reg=target_reg[0])
         budget = max(app.max_steps - process.cpu.instret, 1)
-        if config is None:
-            result = _finish_baseline(
-                app, session, plan, target_pc, target_reg, budget, deadline,
-                tracer,
+        with tracer.span("post-fault"):
+            report = LetGoSession(config, app.functions).run(
+                process, budget, deadline=deadline, tracer=tracer
             )
-        else:
-            result = _finish_letgo(
-                app, session, plan, target_pc, target_reg, budget, config,
-                deadline, tracer,
-            )
+        result = InjectionResult(
+            outcome=_classify(app, config, report, tracer),
+            plan=plan,
+            target_pc=target_pc,
+            target_reg=target_reg,
+            first_signal=(
+                report.interventions[0].signal
+                if report.intervened
+                else report.final_signal
+            ),
+            interventions=len(report.interventions),
+            steps=process.cpu.instret,
+            timed_out=report.timed_out,
+        )
     tracer.count(f"outcome:{result.outcome.value}")
     if result.first_signal is not None:
         tracer.count(f"first-signal:{result.first_signal.name}")
     return result
 
 
-def _finish_baseline(
-    app: MiniApp,
-    session: DebugSession,
-    plan: InjectionPlan,
-    target_pc: int,
-    target_reg: tuple[str, int],
-    budget: int,
-    deadline: float | None = None,
-    tracer=NULL_TRACER,
-) -> InjectionResult:
-    process = session.process
-    with tracer.span("post-fault"):
-        event, timed_out = _cont_watchdog(session, budget, deadline)
-    if event.kind == STOP_TRAP:
-        assert event.trap is not None
-        session.deliver_default(event.trap)
-        outcome: Outcome = Outcome.CRASH
-        signal: Signal | None = event.trap.signal
-    elif event.kind == STOP_EXITED:
-        output = list(process.output)
-        with tracer.span("acceptance-check"):
-            outcome = classify_finished(
-                passed_check=app.acceptance_check(output),
-                matches_golden=app.matches_golden(output),
-                continued=False,
-            )
-        signal = None
-    else:
-        outcome = Outcome.HANG
-        signal = None
-    return InjectionResult(
-        outcome=outcome,
-        plan=plan,
-        target_pc=target_pc,
-        target_reg=target_reg,
-        first_signal=signal,
-        steps=process.cpu.instret,
-        timed_out=timed_out,
-    )
-
-
-def _finish_letgo(
-    app: MiniApp,
-    session: DebugSession,
-    plan: InjectionPlan,
-    target_pc: int,
-    target_reg: tuple[str, int],
-    budget: int,
-    config: LetGoConfig,
-    deadline: float | None = None,
-    tracer=NULL_TRACER,
-) -> InjectionResult:
-    process = session.process
-    with tracer.span("post-fault"):
-        report = LetGoSession(config, app.functions).run(
-            process, budget, deadline=deadline, tracer=tracer
-        )
+def _classify(
+    app: MiniApp, config: LetGoConfig, report: LetGoRunReport, tracer
+) -> Outcome:
+    """Figure-4 leaf of a post-fault run."""
     if report.status == COMPLETED:
-        output = list(process.output)
         with tracer.span("acceptance-check"):
-            outcome = classify_finished(
-                passed_check=app.acceptance_check(output),
-                matches_golden=app.matches_golden(output),
-                continued=report.intervened,
-            )
-    elif report.status == HUNG:
-        outcome = Outcome.C_HANG if report.intervened else Outcome.HANG
-    elif report.intervened:
-        outcome = Outcome.DOUBLE_CRASH
-    else:
-        # first signal was outside LetGo's table (e.g. SIGFPE)
-        outcome = Outcome.CRASH_UNHANDLED
-    first_signal = (
-        report.interventions[0].signal
-        if report.intervened
-        else report.final_signal
-    )
-    return InjectionResult(
-        outcome=outcome,
-        plan=plan,
-        target_pc=target_pc,
-        target_reg=target_reg,
-        first_signal=first_signal,
-        interventions=len(report.interventions),
-        steps=process.cpu.instret,
-        timed_out=report.timed_out,
-    )
+            return classify_output(app, report.output, report.intervened)
+    if report.status == HUNG:
+        return Outcome.C_HANG if report.intervened else Outcome.HANG
+    if report.intervened:
+        return Outcome.DOUBLE_CRASH
+    # killed by the first signal: the default disposition, or a signal
+    # outside the config's table (e.g. SIGFPE)
+    return Outcome.CRASH_UNHANDLED if config.handled_signals else Outcome.CRASH
 
 
 __all__ = ["InjectionResult", "run_injection"]

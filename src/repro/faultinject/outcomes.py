@@ -105,9 +105,25 @@ def classify_finished(
     return Outcome.C_SDC if continued else Outcome.SDC
 
 
+def classify_output(app, output, continued: bool) -> Outcome:
+    """Leaf for a run that reached HALT and produced *output*.
+
+    *app* supplies ``acceptance_check`` and ``matches_golden`` (a
+    ``MiniApp`` or a ``ParallelApp``); the golden comparison runs only
+    when the acceptance check passed.
+    """
+    passed = app.acceptance_check(output)
+    return classify_finished(
+        passed_check=passed,
+        matches_golden=passed and app.matches_golden(output),
+        continued=continued,
+    )
+
+
 __all__ = [
     "Outcome",
     "FINISHED_OUTCOMES",
     "LETGO_CRASH_OUTCOMES",
     "classify_finished",
+    "classify_output",
 ]

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.checkpoint.snapshot import restore, restore_into, snapshot
-from repro.core.config import LetGoConfig
+from repro.core.config import BASELINE, LetGoConfig
 from repro.faultinject.campaign import CampaignConfig, CampaignResult
 from repro.faultinject.engine import CampaignEngine
 from repro.faultinject.fault_model import plan_injections
@@ -366,8 +366,7 @@ def check_resume(
     prefix = max(0, min(prefix, n - 1))
     path = Path(workdir) / "fuzz-resume.journal"
     header = JournalHeader.for_campaign(
-        app.name, config.name if config is not None else "baseline",
-        n, seed, plans,
+        app.name, (config or BASELINE).name, n, seed, plans
     )
     journal = CampaignJournal.create(path, header)
     if prefix:

@@ -820,12 +820,6 @@ class CompiledCPU(CPU):
     live register files / memory / output objects, which
     ``restore_into`` refills in place, so one compiled process can host
     any number of restored runs.
-
-    ``run_probed`` (instret-bucketed telemetry progress probes) is
-    inherited from :class:`CPU` unchanged: it slices the budget through
-    the public ``run`` contract, and this backend's exact-budget chunking
-    guarantees the probe sequence and final state are bit-identical to
-    the interpreter's.
     """
 
     # ``__weakref__`` lets a caller check that a finished CPU is freed.

@@ -147,31 +147,6 @@ class CPU:
         finally:
             self.instret += steps
 
-    def run_probed(self, max_steps: int, probe, interval: int) -> str:
-        """Like :meth:`run`, calling ``probe(instret)`` every *interval* retirements.
-
-        The instret-bucketed progress probe behind campaign telemetry:
-        the budget is consumed in *interval*-sized buckets through the
-        public :meth:`run` contract, so the architectural behaviour --
-        trap sites, retirement counts, stop reasons -- is bit-identical
-        to a single ``run(max_steps)`` call on every backend (both the
-        interpreter and the compiled backend honour exact budgets).  The
-        probe only observes; a trap propagates without a trailing probe
-        call because the bucket did not complete.
-        """
-        if interval < 1:
-            raise ValueError("probe interval must be >= 1")
-        remaining = max_steps
-        stop = STOP_HALT if self.halted else STOP_STEPS
-        while remaining > 0:
-            before = self.instret
-            stop = self.run(min(interval, remaining))
-            remaining -= self.instret - before
-            probe(self.instret)
-            if stop == STOP_HALT:
-                break
-        return stop
-
     def step(self) -> None:
         """Execute exactly one instruction (slow path, debugger use)."""
         self.run(1)

@@ -63,7 +63,7 @@ def test_nonhalting_program_rejected():
 
 def test_app_profiles_consistent(suite):
     for app in suite.values():
-        prof = app.profile
+        prof = profile_program(app.program)
         assert prof.total == app.golden.instret
         assert tuple(prof.output) == app.golden.output
         assert prof.coverage() > 0.5, app.name

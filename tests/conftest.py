@@ -102,7 +102,7 @@ def demo_unit():
 
 def _cached_app(name):
     app = make_app(name)
-    app.golden  # warm the profile/golden caches once per session
+    app.golden  # warm the golden-run cache once per session
     return app
 
 

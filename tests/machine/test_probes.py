@@ -1,101 +1,80 @@
-"""``CPU.run_probed``: instret-bucketed progress probes on both backends.
+"""Telemetry progress probes on the injection path, on both backends.
 
-The telemetry progress probe slices a budget through the public ``run``
-contract, so trap sites, retirement counts and stop reasons must be
-bit-identical to one unprobed ``run`` call -- on the interpreter and the
-compiled backend alike.
+With a tracer whose ``probe_interval`` is positive, ``run_injection``
+replays the golden prefix through ``injector._probed_steps``: the prefix
+budget is sliced through the exact-budget ``run_steps`` contract, with
+one ``progress`` instant per slice.  The probes only observe, so a probed
+run must give the same :class:`InjectionResult` as a null-tracer run --
+for benign and crashing plans, baseline and LetGo alike, on the
+interpreter and the compiled backend.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.isa import assemble
-from repro.machine.cpu import STOP_HALT, STOP_STEPS
-from repro.machine.process import Process
-from repro.machine.signals import Trap
+from repro.core import LETGO_E
+from repro.faultinject import InjectionPlan, run_injection
+from repro.telemetry import Tracer
 
 BACKENDS = ("interpreter", "compiled")
 
-FAULTY_ASM = """
-.text
-.entry main
-.func main
-main:
-    movi r1, #0
-    movi r2, #50
-loop:
-    addi r1, r1, #1
-    slt r3, r1, r2
-    bnez r3, loop
-    movi r4, #1
-    ld r5, [r4 + 0]
-    halt
-"""
+#: pennant plans: benign; SIGSEGV that LetGo-E continues; SIGSEGV that
+#: LetGo-E repairs and then crashes again.
+BENIGN = InjectionPlan(dyn_index=1200, bit=0, reg_choice=0.0)
+CRASH = InjectionPlan(dyn_index=1500, bit=62, reg_choice=0.0)
+DOUBLE_CRASH = InjectionPlan(dyn_index=2000, bit=3, reg_choice=0.0)
 
 
-def _state(process):
-    cpu = process.cpu
-    return (cpu.pc, cpu.instret, cpu.halted, list(cpu.iregs), list(cpu.fregs))
-
-
-@pytest.fixture(scope="module")
-def demo(demo_program):
-    return demo_program
+def _probed(app, plan, config, backend, interval):
+    """(result, progress instret trail) of one probed injection run."""
+    tracer = Tracer(probe_interval=interval)
+    result = run_injection(app, plan, config, backend=backend, tracer=tracer)
+    trail = [
+        record["args"]["instret"]
+        for record in tracer.records()
+        if record["kind"] == "instant" and record["name"] == "progress"
+    ]
+    return result, trail
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("interval", [1, 7, 64, 10_000])
-def test_probed_run_matches_plain_run(demo, backend, interval):
-    plain = Process.load(demo, backend=backend)
-    stop_plain = plain.cpu.run(10_000)
-
-    probed = Process.load(demo, backend=backend)
-    seen: list[int] = []
-    stop_probed = probed.cpu.run_probed(10_000, seen.append, interval)
-
-    assert stop_probed == stop_plain == STOP_HALT
-    assert _state(probed) == _state(plain)
-    assert probed.output == plain.output
-    # Monotone probe trail ending at the final retirement count.
-    assert seen == sorted(seen)
-    assert seen[-1] == probed.cpu.instret
+def test_probed_run_matches_plain_run(pennant_app, backend, interval):
+    for plan in (BENIGN, CRASH):
+        plain = run_injection(pennant_app, plan, None, backend=backend)
+        probed, trail = _probed(pennant_app, plan, None, backend, interval)
+        assert probed == plain
+        # Monotone probe trail ending where the prefix replay stopped.
+        assert trail == sorted(trail)
+        assert trail[-1] == plan.dyn_index - 1
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_probed_budget_exhaustion_is_exact(demo, backend):
-    budget = 37
-    plain = Process.load(demo, backend=backend)
-    assert plain.cpu.run(budget) == STOP_STEPS
-
-    probed = Process.load(demo, backend=backend)
-    seen: list[int] = []
-    assert probed.cpu.run_probed(budget, seen.append, 10) == STOP_STEPS
-    assert _state(probed) == _state(plain)
-    assert probed.cpu.instret == budget
-    assert seen == [10, 20, 30, 37]
+def test_probed_budget_exhaustion_is_exact(pennant_app, backend):
+    plan = InjectionPlan(dyn_index=38, bit=0, reg_choice=0.0)
+    plain = run_injection(pennant_app, plan, None, backend=backend)
+    probed, trail = _probed(pennant_app, plan, None, backend, 10)
+    assert probed == plain
+    assert trail == [10, 20, 30, 37]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_probed_trap_propagates_at_same_site(backend):
-    program = assemble(FAULTY_ASM, "probe-faulty")
-    plain = Process.load(program, backend=backend)
-    with pytest.raises(Trap) as plain_trap:
-        plain.cpu.run(10_000)
-
-    probed = Process.load(program, backend=backend)
-    seen: list[int] = []
-    with pytest.raises(Trap) as probed_trap:
-        probed.cpu.run_probed(10_000, seen.append, 16)
-
-    assert probed_trap.value.signal == plain_trap.value.signal
-    assert _state(probed) == _state(plain)
-    # The bucket the trap interrupted never completed, so no trailing probe.
-    assert all(i <= probed.cpu.instret for i in seen)
+def test_probed_trap_propagates_at_same_site(pennant_app, backend):
+    for plan in (CRASH, DOUBLE_CRASH):
+        for config in (None, LETGO_E):
+            plain = run_injection(pennant_app, plan, config, backend=backend)
+            probed, _ = _probed(pennant_app, plan, config, backend, 16)
+            assert plain.first_signal is not None
+            assert probed == plain
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_probe_interval_must_be_positive(demo, backend):
-    process = Process.load(demo, backend=backend)
-    with pytest.raises(ValueError, match="interval"):
-        process.cpu.run_probed(10, lambda _: None, 0)
+def test_probe_interval_must_be_positive(pennant_app, backend):
+    with pytest.raises(ValueError, match="probe_interval"):
+        Tracer(probe_interval=-1)
+    # Zero keeps telemetry on but the probes off.
+    plain = run_injection(pennant_app, BENIGN, None, backend=backend)
+    probed, trail = _probed(pennant_app, BENIGN, None, backend, 0)
+    assert probed == plain
+    assert trail == []

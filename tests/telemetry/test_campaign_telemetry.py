@@ -128,12 +128,20 @@ def test_trace_files_written_and_parse(pennant_app, tmp_path):
     assert "post-fault" in names and "thread_name" in names
 
 
-def test_probe_interval_emits_progress_instants(pennant_app):
-    engine = CampaignEngine(config=CampaignConfig(jobs=1, probe_interval=50))
+def test_probe_interval_emits_progress_instants(pennant_app, tmp_path):
+    jsonl = tmp_path / "probed.jsonl"
+    engine = CampaignEngine(
+        config=CampaignConfig(jobs=1, probe_interval=50, trace=str(jsonl))
+    )
     engine.run(pennant_app, 3, SEED, None)
-    report = engine.telemetry
-    assert report is not None  # probe_interval implies telemetry
-    # Progress instants are events, not phases; check via the engine trace.
+    assert engine.telemetry is not None  # probe_interval implies telemetry
+    # Progress instants are events, not phases; check the written trace.
+    _, records = read_jsonl(jsonl)
+    progress = [
+        r for r in records if r["kind"] == "instant" and r["name"] == "progress"
+    ]
+    assert progress
+    assert all(r["args"]["instret"] > 0 for r in progress)
 
 
 def test_resumed_campaign_records_resume_event(pennant_app, tmp_path):
