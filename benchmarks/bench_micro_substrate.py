@@ -52,9 +52,9 @@ BACKENDS = ("interpreter", "compiled")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_backend_throughput(benchmark, backend):
     program = assemble(TIGHT_LOOP)
-    # Warm run: compiles the closure table once; the per-image code cache
-    # makes every subsequent Process.load of the same program reuse it,
-    # exactly as engine shards do.
+    # Warm run: compiles the loop's blocks into the per-image code cache;
+    # every later Process.load of the same program only binds them to its
+    # own state, exactly as engine shards do.
     Process.load(program, backend=backend).run(10**7)
 
     def run():

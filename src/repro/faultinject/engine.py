@@ -171,8 +171,8 @@ def _run_shard(
     One *host process* serves the whole shard: every plan restores its
     launch state (ladder rung, or a pristine instret-0 snapshot) into the
     same process, so segment mapping, CPU construction and -- on the
-    compiled backend -- closure-table compilation are paid once per shard
-    rather than once per injection.
+    compiled backend -- binding compiled blocks to the CPU are paid once
+    per shard rather than once per injection.
 
     Returns (pairs, tally, seconds, payload).  The tally is the shard's
     one exact count of ``restore`` / ``cold-start`` positionings, golden

@@ -2,14 +2,15 @@
 
 Each class is a copy of the reference interpreter with ONE semantic
 fault planted -- deliberately re-creating the bug classes PR 3 fixed by
-hand (NaN min/max, HALT-pc advance, map-before-alignment) plus a
-sign-extension fault.  They are strictly test scaffolding: running the
-fuzzer with ``--mutation NAME`` swaps the mutant in as the "compiled"
-side of every differential oracle, which must then (a) flag a
-divergence and (b) shrink it to a tiny reproducer.  A fuzzer that
-cannot kill these mutants would not have caught the real bugs either
-(the mutation-adequacy methodology of the repair-assessment line of
-work).
+hand (NaN min/max, HALT-pc advance, map-before-alignment), a
+sign-extension fault, and the block compiler's typical retire-count bug
+(a faulting load counted as retired).  They are strictly test
+scaffolding: running the fuzzer with ``--mutation NAME`` swaps the
+mutant in as the "compiled" side of every differential oracle, which
+must then (a) flag a divergence and (b) shrink it to a tiny
+reproducer.  A fuzzer that cannot kill these mutants would not have
+caught the real bugs either (the mutation-adequacy methodology of the
+repair-assessment line of work).
 
 The interpreter builds its dispatch table per-instance with
 ``getattr(self, "_op_...")``, so overriding a handler in a subclass is
@@ -76,12 +77,28 @@ class AlignmentBeforeMap(CPU):
         super()._op_ld(ins)
 
 
+class LoadTrapRetires(CPU):
+    """A faulting LD retires before it traps: ``instret`` one too high.
+
+    The bug class of block-compiled execution, where a trap in the middle
+    of a block must retire exactly the instructions before the faulter.
+    """
+
+    def _op_ld(self, ins: Instr) -> None:
+        try:
+            super()._op_ld(ins)
+        except Trap:
+            self.instret += 1
+            raise
+
+
 #: name -> mutant class, the ``--mutation`` CLI choices.
 MUTATIONS: dict[str, type[CPU]] = {
     "fmin-nan": FminNanPropagates,
     "halt-pc": HaltAdvancesPc,
     "shri-logical": ShriLogical,
     "segv-order": AlignmentBeforeMap,
+    "load-trap-retires": LoadTrapRetires,
 }
 
 

@@ -1,53 +1,63 @@
-"""Closure-compiled execution backend: the interpreter's fast twin.
+"""Block-compiled execution backend: the interpreter's fast twin.
 
-:class:`CompiledCPU` translates every static instruction into an
-operand-specialized closure at first run: register indices, immediates,
-branch targets and bound memory methods are baked into the closure's cells,
-so the hot loop is ``pc = code[pc]()`` -- no per-step ``Instr`` attribute
-loads, no handler-table indexing, no ``self.*`` lookups.  Two hot pairs are
-fused into superinstructions (compare+branch and addi+load); the second
-member of a pair keeps its own closure slot, so branches into the middle of
-a pair still work.
+:class:`CompiledCPU` runs a program as straight-line *blocks*, QEMU's
+translation blocks (Bellard, USENIX ATC 2005) in Python.  A block starts
+at any entry pc and runs through the first control transfer or stop
+(JMP/BEQZ/BNEZ/CALL/RET/HALT/ABORT); a block also ends just *before* a
+communication op (SEND/RECV/FSEND/FRECV), so every comm op is a block of
+its own.  Each block is emitted as Python source -- register indices,
+immediates and branch targets written in as literals, loads and stores
+inlined against the memory's cell dict with the segment check in front --
+and compiled once per program image.  The hot loop is then one
+``pc = blocks[pc]()`` dispatch per block instead of one per instruction.
 
 The backend preserves the interpreter's contract exactly:
 
-* **Precise exceptions.**  A :class:`~repro.machine.signals.Trap` carries
-  the pc of the faulter, the faulting instruction does not retire, and
-  ``cpu.pc`` is left at the fault site -- bit-identical trap sites, signals
-  and detail strings.
-* **Exact ``instret`` accounting.**  Fused pairs execute inside bounded
-  chunks sized so a pair can never overrun the step budget, and the final
-  budgeted step always runs unfused; ``run(n)`` retires exactly what the
-  interpreter would.  This is what keeps ``dyn_index``-addressed fault
-  injection deterministic across backends.
-* **Live state.**  Closures bind the *identities* of the register files,
-  memory and output stream -- exactly the objects
-  :func:`~repro.checkpoint.snapshot.restore_into` refills in place -- so
-  snapshot/restore, debugger register writes and ``set_pc`` all work
-  unchanged.
+* **Exact budget.**  A block runs only when the remaining step budget
+  covers its whole length; otherwise the next instruction runs alone from
+  the per-instruction *safe* table (single-instruction blocks from the
+  same emitter).  ``run(n)`` retires exactly what the interpreter would,
+  which keeps ``dyn_index``-addressed fault injection deterministic.
+* **Precise traps.**  Every trap raised inside a block carries the static
+  pc of its faulting instruction, which commits nothing, so the block
+  retired exactly ``trap.pc - entry`` instructions and ``cpu.pc`` is left
+  at the fault site -- bit-identical trap sites, signals and detail
+  strings.  :class:`~repro.machine.signals.Blocked` can only come from a
+  comm op, which is a one-instruction block, so it retires nothing.
+* **Live state.**  Blocks are bound per CPU with
+  :class:`types.FunctionType`, whose defaults hold the *identities* of
+  the register files, the memory's cell dict and the output stream --
+  exactly the objects :func:`~repro.checkpoint.snapshot.restore_into`
+  refills in place -- so snapshot/restore, debugger register writes and
+  LetGo's ``set_pc(pc + 1)`` resume into the middle of a block (which is
+  simply another entry pc) all work unchanged.
 * **Out-of-image control flow.**  A computed or encoded jump target outside
   the image retires the jump, parks the wild pc, and faults on the *next*
   fetch, exactly like the interpreter (a run whose budget expires right
   after such a jump stops with the wild pc and no trap).
 
+Compilation is lazy on both levels: a block's code object is compiled the
+first time any process of its image enters that pc, and kept in a
+per-image code cache shared by every process of the image; a CPU binds
+the code to its own state the first time *it* enters the pc.  A golden run
+enters only a small fraction of the static pcs, so nothing is paid for
+code that never runs.
+
 ``run_profiled`` is inherited from the interpreter: profiling is a
 one-time golden pass and the per-pc counts must stay reference-exact.
-
-Fusion plans are cached per program image (the per-program code cache);
-closure tables themselves bind per-process state, so each process builds
-its own lazily on first run.  Campaign workers amortize that by reusing
-one host process per shard (see ``repro.faultinject.engine``).
 """
 
 from __future__ import annotations
 
+import builtins
 import os
+import re
 from math import copysign, inf, isinf, isnan, nan, sqrt
-from operator import eq, le, lt, ne
+from types import FunctionType
 
 from repro.isa.instructions import Instr, Op
 from repro.isa.layout import INT64_MAX, INT64_MIN, MASK64
-from repro.isa.registers import SP
+from repro.isa.registers import BP, SP
 from repro.machine.cpu import CPU, STOP_HALT, STOP_STEPS
 from repro.machine.memory import (
     AccessError,
@@ -59,69 +69,20 @@ from repro.machine.signals import Blocked, Signal, Trap
 _SIGN = 1 << 63
 _WRAP = 1 << 64
 
-
-class _HaltSignal(Exception):
-    """Internal: unwinds a fused chunk when HALT retires.  Never escapes.
-
-    Raised as a fresh instance per halt: re-raising one shared instance
-    would chain each run's traceback onto the last, keeping every halted
-    CPU (its closures and memory) reachable forever.
-    """
-
-# -- fusion planning ---------------------------------------------------------
-
-#: No fusion at this pc.
-FUSE_NONE = 0
-#: compare (SEQ/SNE/SLT/SLE/FEQ/FNE/FLT/FLE) + BEQZ/BNEZ on the flag reg.
-FUSE_CMP_BRANCH = 1
-#: ADDI + LD/FLD (address bump feeding a load is the classic hot pair).
-FUSE_ADDI_LOAD = 2
-
-_CMP_TO_OPERATOR = {
-    Op.SEQ: eq, Op.SNE: ne, Op.SLT: lt, Op.SLE: le,
-    Op.FEQ: eq, Op.FNE: ne, Op.FLT: lt, Op.FLE: le,
-}
-_FCMP_OPS = frozenset((Op.FEQ, Op.FNE, Op.FLT, Op.FLE))
-_BRANCH_OPS = (Op.BEQZ, Op.BNEZ)
+#: Ops that end a block (inclusive).
+_TERMINATORS = frozenset(
+    (Op.JMP, Op.BEQZ, Op.BNEZ, Op.CALL, Op.RET, Op.HALT, Op.ABORT)
+)
+#: Ops that always form a one-instruction block.
+_COMM_OPS = frozenset((Op.SEND, Op.RECV, Op.FSEND, Op.FRECV))
 
 
-def fusion_plan(instrs: list[Instr]) -> tuple[int, ...]:
-    """Per-pc fusion decisions for one instruction list."""
-    n = len(instrs)
-    plan = [FUSE_NONE] * n
-    for pc in range(n - 1):
-        ins = instrs[pc]
-        tail = instrs[pc + 1]
-        if (
-            ins.op in _CMP_TO_OPERATOR
-            and tail.op in _BRANCH_OPS
-            and tail.ra == ins.rd
-            and 0 <= tail.imm <= n  # wild branch targets stay unfused
-        ):
-            plan[pc] = FUSE_CMP_BRANCH
-        elif ins.op is Op.ADDI and tail.op in (Op.LD, Op.FLD):
-            plan[pc] = FUSE_ADDI_LOAD
-    return tuple(plan)
+def _wrap64(value: int) -> int:
+    value &= MASK64
+    return value - _WRAP if value >= _SIGN else value
 
 
-# The per-program code cache: fusion plans keyed by instruction-list
-# identity (programs are interned per source by the app layer, so this
-# stays a handful of entries; the instrs reference both keeps the id
-# stable and guards against id reuse).
-_PLAN_CACHE: dict[int, tuple[list[Instr], tuple[int, ...]]] = {}
-
-
-def _plan_for(instrs: list[Instr]) -> tuple[int, ...]:
-    key = id(instrs)
-    hit = _PLAN_CACHE.get(key)
-    if hit is not None and hit[0] is instrs:
-        return hit[1]
-    plan = fusion_plan(instrs)
-    _PLAN_CACHE[key] = (instrs, plan)
-    return plan
-
-
-def _mem_trap(exc: AccessError, pc: int, ins: Instr | None) -> Trap:
+def _mem_trap(exc: AccessError, pc: int, ins: Instr) -> Trap:
     return Trap(
         Signal.SIGSEGV if exc.kind == "segv" else Signal.SIGBUS,
         pc=pc,
@@ -140,739 +101,611 @@ def _fetch_trap(pc: int) -> Trap:
     )
 
 
-def _build_tables(cpu: "CompiledCPU"):
-    """Compile *cpu*'s program into (chunk table, safe table).
+# -- the emitter --------------------------------------------------------------
+#
+# Inside a block, registers live in Python locals (``r3``, ``f2``): a
+# register is loaded from its file on first use and written back only where
+# the architectural state can be observed -- before every ``return`` and on
+# the cold path of every instruction that can trap, ahead of the trap -- so
+# a trap still sees every earlier instruction committed and nothing of its
+# own.  Other generated-code names are upper case, so they cannot clash
+# with the lower-case text of trap details:
+#   R, F      integer / float register files
+#   C, G      the memory's cell dict and its bound ``get``
+#   L0 H0     first mapped range, L1 H1 second (a missed fast check falls
+#             back to the exact Memory method, so extra segments are fine)
+#   LD ST     exact load / store slow paths; they raise the precise Trap
+#   TRAP      raise a non-memory Trap at a static pc
+#   BQ BD     an 8-byte buffer seen as a pattern / as a float: a float's
+#             bit pattern (and back) by two item accesses, no allocation
+#   WRAP      64-bit wraparound of an out-of-range integer result
+#   OUT CPU WILD   output append, the CPU itself, the wild-target slot
+#   K<i>      immediates that have no exact source literal (floats)
 
-    Both tables have ``n + 1`` slots; slot ``n`` is the fetch-fault pad so
-    natural fall-through past the image (and parked wild jump targets)
-    fault exactly like the interpreter's bounds check.  The *safe* table is
-    fully unfused and never raises on HALT (used for the final budgeted
-    step); the *chunk* table fuses hot pairs and unwinds HALT with an
-    internal exception so a fused chunk can stop mid-flight.
-    """
-    instrs = cpu.instrs
+_MAX = repr(_SIGN)
+_SIGNED_P = f"p if p < {_MAX} else p - {_WRAP}"
+
+_INT_BINOPS = {
+    Op.ADD: "+", Op.SUB: "-", Op.MUL: "*",
+    Op.AND: "&", Op.OR: "|", Op.XOR: "^",
+}
+_INT_IMMOPS = {
+    Op.ADDI: "+", Op.SUBI: "-", Op.MULI: "*",
+    Op.ANDI: "&", Op.ORI: "|", Op.XORI: "^",
+}
+_CMP_OPS = {
+    Op.SEQ: ("r", "=="), Op.SNE: ("r", "!="),
+    Op.SLT: ("r", "<"), Op.SLE: ("r", "<="),
+    Op.FEQ: ("f", "=="), Op.FNE: ("f", "!="),
+    Op.FLT: ("f", "<"), Op.FLE: ("f", "<="),
+}
+_FP_BINOPS = {Op.FADD: "+", Op.FSUB: "-", Op.FMUL: "*"}
+_ENV_NAME = re.compile(r"\b[A-Z][A-Z0-9]*\b")
+
+
+def block_extent(instrs: list[Instr]) -> list[int]:
+    """Length of the block that starts at each pc of *instrs*."""
     n = len(instrs)
-    plan = _plan_for(instrs)
+    extent = [1] * n
+    for pc in range(n - 2, -1, -1):
+        op = instrs[pc].op
+        if op not in _TERMINATORS and op not in _COMM_OPS \
+                and instrs[pc + 1].op not in _COMM_OPS:
+            extent[pc] = extent[pc + 1] + 1
+    return extent
 
-    # State identities -- shared with restore_into / debugger mutation.
-    iregs = cpu.iregs
-    fregs = cpu.fregs
+
+class _Emitter:
+    """Python source of one block, built one instruction at a time."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.lines: list[str] = []
+        self.consts: dict[str, object] = {}
+        self.live: set[str] = set()    # register locals holding a value
+        self.dirty: set[str] = set()   # ... not yet written back
+
+    def const(self, value) -> str:
+        """Source for an immediate: a literal, or a bound ``K<i>`` name."""
+        if type(value) is int:
+            return repr(value)
+        name = f"K{len(self.consts)}"
+        self.consts[name] = value
+        return name
+
+    def read(self, bank: str, index: int) -> str:
+        """Local holding register *bank* (``r``/``f``) *index*."""
+        name = f"{bank}{index}"
+        if name not in self.live:
+            self.lines.append(f"{name} = {bank.upper()}[{index}]")
+            self.live.add(name)
+        return name
+
+    def write(self, bank: str, index: int) -> str:
+        """Local to assign register *bank* *index* (written back later)."""
+        name = f"{bank}{index}"
+        self.live.add(name)
+        self.dirty.add(name)
+        return name
+
+    def assign(self, bank: str, index: int, value: str) -> str:
+        """Line setting a register to *value* (source built, so read, first)."""
+        return f"{self.write(bank, index)} = {value}"
+
+    def flush(self, indent: str = "") -> list[str]:
+        """Lines writing every modified register back to its file."""
+        return [
+            f"{indent}{name[0].upper()}[{name[1:]}] = {name}"
+            for name in sorted(self.dirty)
+        ]
+
+    def leave(self, target: int) -> list[str]:
+        """Write back, then return *target*."""
+        return self.flush() + [f"return {target}"]
+
+    def goto(self, target: int) -> list[str]:
+        if 0 <= target <= self.n:
+            return [f"return {target}"]
+        return [f"WILD[0] = {target}", f"return {self.n}"]
+
+    # -- memory ------------------------------------------------------------
+
+    def address(self, ins: Instr) -> str:
+        """Source of the effective address of a load/store."""
+        addr = self.read("r", ins.ra)
+        if ins.op in (Op.LDX, Op.STX, Op.FLDX, Op.FSTX):
+            addr += f" + {self.read('r', ins.rb)} * 8"
+        if ins.imm:
+            addr += f" + {self.const(ins.imm)}"
+        return addr
+
+    @staticmethod
+    def mapped(stack: bool) -> str:
+        """Fast in-segment-and-aligned test of ``a``, likelier range first.
+
+        Ranges are sorted by start, so the stack (the top segment) is
+        range 1.
+        """
+        ranges = ("L1 <= a < H1", "L0 <= a < H0") if stack else (
+            "L0 <= a < H0", "L1 <= a < H1")
+        return f"not a & 7 and ({ranges[0]} or {ranges[1]})"
+
+    def load(self, pc: int, addr: str, stack: bool) -> list[str]:
+        """Lines leaving the cell pattern at ``addr`` in ``p``."""
+        return [
+            f"a = {addr}",
+            f"if {self.mapped(stack)}:",
+            "    p = G(a, 0)",
+            "else:",
+            *self.flush("    "),
+            f"    p = LD(a, {pc})",
+        ]
+
+    def store(self, pc: int, addr: str, value: str, stack: bool) -> list[str]:
+        """Lines writing the pattern *value* at ``addr``."""
+        return [
+            f"a = {addr}",
+            f"if {self.mapped(stack)}:",
+            f"    C[a] = {value}",
+            "else:",
+            *self.flush("    "),
+            f"    ST(a, {value}, {pc})",
+        ]
+
+    def trap(self, pc: int, signal: str, detail: str,
+             indent: str = "    ") -> list[str]:
+        """Lines raising a non-memory trap, by default under an ``if``."""
+        return self.flush(indent) + [f"{indent}TRAP({pc}, {signal}, {detail})"]
+
+    # -- one instruction ---------------------------------------------------
+
+    def emit(self, ins: Instr, pc: int) -> None:
+        """Append the source of the instruction at *pc*.
+
+        Straight-line ops fall through; control ops end in ``return <next
+        pc>`` (a HALT returns ``n + 1 + pc``; a wild target parks in
+        ``WILD`` and returns the fetch-fault pad ``n``).  Every register an
+        instruction reads is loaded before any of its lines, so no load
+        sits on a conditional path.
+        """
+        self.lines += self._lines(ins, pc)
+
+    def _lines(self, ins: Instr, pc: int) -> list[str]:
+        op = ins.op
+        d, a, b, imm = ins.rd, ins.ra, ins.rb, ins.imm
+        n = self.n
+        nxt = pc + 1
+        read, write, assign = self.read, self.write, self.assign
+
+        # -- data movement ---------------------------------------------------
+        if op is Op.NOP:
+            return []
+        if op is Op.MOV:
+            return [assign("r", d, read("r", a))]
+        if op is Op.MOVI:
+            return [assign("r", d, self.const(imm))]
+        if op is Op.FMOV:
+            return [assign("f", d, read("f", a))]
+        if op is Op.FMOVI:
+            return [assign("f", d, self.const(imm))]
+
+        # -- memory ----------------------------------------------------------
+        stack = a in (SP, BP)
+        if op in (Op.LD, Op.LDX):
+            lines = self.load(pc, self.address(ins), stack)
+            return lines + [assign("r", d, _SIGNED_P)]
+        if op in (Op.FLD, Op.FLDX):
+            lines = self.load(pc, self.address(ins), stack)
+            return lines + ["BQ[0] = p", assign("f", d, "BD[0]")]
+        if op in (Op.ST, Op.STX):
+            value = f"{read('r', d)} & {MASK64}"
+            return self.store(pc, self.address(ins), value, stack)
+        if op in (Op.FST, Op.FSTX):
+            lines = [f"BD[0] = {read('f', d)}"]
+            return lines + self.store(pc, self.address(ins), "BQ[0]", stack)
+        sp = read("r", SP) if op in (
+            Op.PUSH, Op.POP, Op.FPUSH, Op.FPOP, Op.CALL, Op.RET) else None
+        if op is Op.PUSH:
+            value = f"{read('r', a)} & {MASK64}"
+            lines = self.store(pc, f"{sp} - 8", value, True)
+            return lines + [assign("r", SP, "a")]
+        if op is Op.FPUSH:
+            lines = [f"BD[0] = {read('f', a)}"]
+            lines += self.store(pc, f"{sp} - 8", "BQ[0]", True)
+            return lines + [assign("r", SP, "a")]
+        if op is Op.POP:
+            # sp first, value second: "pop sp" ends with the loaded value.
+            return self.load(pc, sp, True) + [
+                assign("r", SP, "a + 8"),
+                assign("r", d, _SIGNED_P),
+            ]
+        if op is Op.FPOP:
+            return self.load(pc, sp, True) + [
+                "BQ[0] = p",
+                assign("f", d, "BD[0]"),
+                assign("r", SP, "a + 8"),
+            ]
+
+        # -- integer ALU -------------------------------------------------------
+        if op in _INT_BINOPS:
+            value = f"{read('r', a)} {_INT_BINOPS[op]} {read('r', b)}"
+        elif op in _INT_IMMOPS:
+            value = f"{read('r', a)} {_INT_IMMOPS[op]} {self.const(imm)}"
+        elif op is Op.SHL:
+            value = f"{read('r', a)} << ({read('r', b)} & 63)"
+        elif op is Op.SHLI:
+            value = f"{read('r', a)} << {imm & 63}"
+        elif op is Op.NEG:
+            value = f"-{read('r', a)}"
+        elif op is Op.NOT:
+            value = f"~{read('r', a)}"
+        else:
+            value = None
+        if value is not None:
+            return [
+                f"v = {value}",
+                assign("r", d, f"v if -{_MAX} <= v < {_MAX} else WRAP(v)"),
+            ]
+        if op is Op.SHR:
+            return [assign("r", d, f"{read('r', a)} >> ({read('r', b)} & 63)")]
+        if op is Op.SHRI:
+            return [assign("r", d, f"{read('r', a)} >> {imm & 63}")]
+        if op in (Op.DIV, Op.MOD):
+            what = "divide" if op is Op.DIV else "remainder"
+            x, y = read("r", a), read("r", b)
+            lines = [
+                f"if {y} == 0:",
+                *self.trap(pc, "SIGFPE", f"'integer {what} by zero'"),
+                f"q = abs({x}) // abs({y})",
+            ]
+            if op is Op.DIV:
+                lines.append(f"v = -q if ({x} < 0) != ({y} < 0) else q")
+            else:
+                lines += [f"if ({x} < 0) != ({y} < 0):", "    q = -q",
+                          f"v = {x} - q * {y}"]
+            return lines + [
+                assign("r", d, f"v if -{_MAX} <= v < {_MAX} else WRAP(v)")
+            ]
+
+        # -- comparisons -----------------------------------------------------
+        if op in _CMP_OPS:
+            bank, cmp = _CMP_OPS[op]
+            test = f"{read(bank, a)} {cmp} {read(bank, b)}"
+            return [assign("r", d, f"1 if {test} else 0")]
+
+        # -- floating point ----------------------------------------------------
+        if op in _FP_BINOPS:
+            value = f"{read('f', a)} {_FP_BINOPS[op]} {read('f', b)}"
+            return [assign("f", d, value)]
+        if op is Op.FDIV:
+            # IEEE-754: x/0 -> signed inf; 0/0 and nan/0 -> nan.
+            x, y = read("f", a), read("f", b)
+            fd = write("f", d)
+            return [
+                f"if {y} == 0.0:",
+                f"    {fd} = nan if {x} == 0.0 or isnan({x}) "
+                f"else copysign(inf, {x}) * copysign(1.0, {y})",
+                "else:",
+                f"    {fd} = {x} / {y}",
+            ]
+        if op is Op.FNEG:
+            return [assign("f", d, f"-{read('f', a)}")]
+        if op is Op.FSQRT:
+            x = read("f", a)
+            value = f"nan if {x} < 0.0 else ({x} if isnan({x}) else sqrt({x}))"
+            return [assign("f", d, value)]
+        if op is Op.FABS:
+            return [assign("f", d, f"abs({read('f', a)})")]
+        if op in (Op.FMIN, Op.FMAX):
+            cmp = "<" if op is Op.FMIN else ">"
+            x, y = read("f", a), read("f", b)
+            fd = write("f", d)
+            return [
+                f"if isnan({x}):",
+                f"    {fd} = {y}",
+                f"elif isnan({y}):",
+                f"    {fd} = {x}",
+                "else:",
+                f"    {fd} = {x} if {x} {cmp} {y} else {y}",
+            ]
+
+        # -- conversions -------------------------------------------------------
+        if op is Op.ITOF:
+            return [assign("f", d, f"float({read('r', a)})")]
+        if op is Op.FTOI:
+            x = read("f", a)
+            return [
+                f"if isnan({x}) or isinf({x}):",
+                f"    v = {INT64_MIN}",  # x86 cvttsd2si "integer indefinite"
+                "else:",
+                f"    v = int({x})",
+                f"    if v < {INT64_MIN} or v > {INT64_MAX}:",
+                f"        v = {INT64_MIN}",
+                assign("r", d, "v"),
+            ]
+
+        # -- control flow ------------------------------------------------------
+        if op is Op.JMP:
+            return self.flush() + self.goto(imm)
+        if op in (Op.BEQZ, Op.BNEZ):
+            cmp = "==" if op is Op.BEQZ else "!="
+            flag = read("r", a)
+            return self.flush() + [f"if {flag} {cmp} 0:"] + [
+                "    " + line for line in self.goto(imm)
+            ] + [f"return {nxt}"]
+        if op is Op.CALL:
+            lines = self.store(pc, f"{sp} - 8", repr(nxt & MASK64), True)
+            lines.append(assign("r", SP, "a"))
+            return lines + self.flush() + self.goto(imm)
+        if op is Op.RET:
+            lines = self.load(pc, sp, True)
+            lines += [assign("r", SP, "a + 8"), f"t = {_SIGNED_P}"]
+            return lines + self.flush() + [
+                f"if 0 <= t <= {n}:",
+                "    return t",
+                "WILD[0] = t",
+                f"return {n}",
+            ]
+
+        # -- system ------------------------------------------------------------
+        if op is Op.HALT:
+            # pc stays on the HALT site: the run loop decodes n + 1 + pc.
+            return [
+                "CPU.halted = True",
+                f"CPU.exit_code = {read('r', 0)}",
+            ] + self.leave(n + 1 + pc)
+        if op is Op.OUT:
+            return [f"OUT(('i', {read('r', a)}))"]
+        if op is Op.FOUT:
+            return [f"OUT(('f', {read('f', a)}))"]
+        if op is Op.ABORT:
+            return self.trap(pc, "SIGABRT", "'application abort'", indent="")
+
+        # -- inter-rank communication (comm ops are one-instruction blocks) ---
+        if op is Op.RANK:
+            return [assign("r", d, "CPU.rank")]
+        if op is Op.NRANKS:
+            return [
+                "net = CPU.network",
+                assign("r", d, "net.size if net is not None else 1"),
+            ]
+        if op in _COMM_OPS:
+            name = op.name.lower()
+            sending = op in (Op.SEND, Op.FSEND)
+            peer = f"{name} {'to' if sending else 'from'} invalid rank"
+            x = read("r", a)
+            lines = [
+                "net = CPU.network",
+                "if net is None:",
+                *self.trap(pc, "SIGBUS", f"'{name} outside a cluster'"),
+                f"if not net.valid_rank({x}):",
+                *self.trap(pc, "SIGBUS", f"f'{peer} {{{x}}}'"),
+            ]
+            if op is Op.SEND:
+                lines.append(f"net.send(CPU.rank, {x}, {read('r', b)} & {MASK64})")
+            elif op is Op.FSEND:
+                lines.append(f"net.send(CPU.rank, {x}, f2p({read('f', b)}))")
+            else:
+                lines += [
+                    f"p = net.recv(CPU.rank, {x})",
+                    "if p is None:",
+                    f"    raise Blocked(pc={pc}, rank=CPU.rank, src={x})",
+                ]
+                if op is Op.RECV:
+                    lines += [f"p &= {MASK64}", assign("r", d, _SIGNED_P)]
+                else:
+                    lines.append(assign("f", d, "p2f(p)"))
+            return lines
+        raise NotImplementedError(f"no compiled template for {op!r}")  # pragma: no cover
+
+
+def _compile_block(instrs: list[Instr], entry: int, length: int):
+    """Compile the *length*-instruction block of *instrs* at *entry*.
+
+    Returns ``(code, consts)``: a code object whose parameters are the
+    generated-code names it uses (bound per CPU as defaults) and the
+    immediates (``K<i>``) that have no exact source literal.
+    """
+    emitter = _Emitter(len(instrs))
+    for pc in range(entry, entry + length):
+        emitter.emit(instrs[pc], pc)
+    if instrs[entry + length - 1].op not in _TERMINATORS:
+        emitter.lines += emitter.leave(entry + length)
+    text = "\n    ".join(emitter.lines)
+    params = sorted(set(_ENV_NAME.findall(text)) - _GLOBAL_NAMES)
+    source = f"def block_{entry}_{length}({', '.join(params)}):\n    {text}\n"
+    namespace: dict = {}
+    exec(compile(source, f"<block {entry}+{length}>", "exec"), namespace)
+    return namespace[f"block_{entry}_{length}"].__code__, emitter.consts
+
+
+#: Names generated code resolves as globals: rare helpers, shared by all.
+_GLOBALS = {
+    "__builtins__": builtins,
+    "SIGABRT": Signal.SIGABRT,
+    "SIGBUS": Signal.SIGBUS,
+    "SIGFPE": Signal.SIGFPE,
+    "Blocked": Blocked,
+    "copysign": copysign,
+    "f2p": float_to_pattern,
+    "inf": inf,
+    "isinf": isinf,
+    "isnan": isnan,
+    "nan": nan,
+    "p2f": pattern_to_float,
+    "sqrt": sqrt,
+}
+_GLOBAL_NAMES = frozenset(_GLOBALS)
+
+
+# -- the per-image code cache ---------------------------------------------
+
+
+class ImageCode:
+    """Compiled block code of one program image, shared by its processes."""
+
+    __slots__ = ("instrs", "extent", "codes")
+
+    def __init__(self, instrs: list[Instr]):
+        self.instrs = instrs
+        #: Static block length per entry pc.
+        self.extent = block_extent(instrs)
+        #: (entry pc, length) -> (code, consts), filled lazily.
+        self.codes: dict[tuple[int, int], tuple] = {}
+
+    def code(self, entry: int, length: int):
+        key = (entry, length)
+        hit = self.codes.get(key)
+        if hit is None:
+            hit = self.codes[key] = _compile_block(self.instrs, entry, length)
+        return hit
+
+
+# Keyed by instruction-list identity: programs are interned per source by
+# the app layer, and the instrs reference both keeps the id stable and
+# guards against id reuse.  Bounded so fuzzing, which makes thousands of
+# throwaway images, does not keep them all.
+_IMAGE_CACHE: dict[int, ImageCode] = {}
+_IMAGE_CACHE_MAX = 64
+
+
+def image_code(instrs: list[Instr]) -> ImageCode:
+    """The code cache of the image *instrs* (created on first use)."""
+    hit = _IMAGE_CACHE.get(id(instrs))
+    if hit is not None and hit.instrs is instrs:
+        return hit
+    if len(_IMAGE_CACHE) >= _IMAGE_CACHE_MAX:
+        del _IMAGE_CACHE[next(iter(_IMAGE_CACHE))]
+    image = _IMAGE_CACHE[id(instrs)] = ImageCode(instrs)
+    return image
+
+
+def _bind_env(cpu: "CompiledCPU") -> dict:
+    """Per-CPU values of the generated-code names (see the emitter)."""
     memory = cpu.memory
+    instrs = cpu.instrs
     read_pattern = memory.read_pattern
     write_pattern = memory.write_pattern
-    read_float = memory.read_float
-    write_float = memory.write_float
-    out_append = cpu.output.append
-    extra = cpu._extra
-    wild = cpu._wild
 
-    M = MASK64
-    S = _SIGN
-    W = _WRAP
-    I64MIN = INT64_MIN
-    I64MAX = INT64_MAX
-    SP_ = SP
-    isnan_ = isnan
-    isinf_ = isinf
-    sqrt_ = sqrt
-    nan_ = nan
-    inf_ = inf
-    copysign_ = copysign
-    p2f = pattern_to_float
-    f2p = float_to_pattern
+    def load(address: int, pc: int) -> int:
+        try:
+            return read_pattern(address)
+        except AccessError as exc:
+            raise _mem_trap(exc, pc, instrs[pc]) from None
 
-    def make(pc: int, ins: Instr):
-        """Operand-specialized closure for one instruction.
+    def store(address: int, pattern: int, pc: int) -> None:
+        try:
+            write_pattern(address, pattern)
+        except AccessError as exc:
+            raise _mem_trap(exc, pc, instrs[pc]) from None
 
-        Every closure returns the next pc (always within ``[0, n]``); a
-        computed target outside that range is parked in ``wild`` and the
-        pad slot is returned instead, deferring the fetch fault by exactly
-        one dispatch, as the interpreter does.
-        """
-        op = ins.op
-        rd, ra, rb, imm = ins.rd, ins.ra, ins.rb, ins.imm
-        nxt = pc + 1
+    def trap(pc: int, signal: Signal, detail: str):
+        raise Trap(signal, pc=pc, instr=instrs[pc], detail=detail)
 
-        # -- data movement --------------------------------------------------
-        if op is Op.NOP:
-            def cl():
-                return nxt
-        elif op is Op.MOV:
-            def cl():
-                iregs[rd] = iregs[ra]
-                return nxt
-        elif op is Op.MOVI:
-            def cl():
-                iregs[rd] = imm
-                return nxt
-        elif op is Op.FMOV:
-            def cl():
-                fregs[rd] = fregs[ra]
-                return nxt
-        elif op is Op.FMOVI:
-            def cl():
-                fregs[rd] = imm
-                return nxt
+    # Ranges mapped later are only missed by the fast check; the slow
+    # path sees them (segments are never unmapped).
+    (l0, h0), (l1, h1) = (list(memory._ranges) + [(0, 0), (0, 0)])[:2]
+    cells = memory._cells
+    bits = bytearray(8)  # per CPU: no other thread's conversion can interleave
+    return {
+        "R": cpu.iregs, "F": cpu.fregs, "C": cells, "G": cells.get,
+        "L0": l0, "H0": h0, "L1": l1, "H1": h1,
+        "LD": load, "ST": store, "TRAP": trap,
+        "BQ": memoryview(bits).cast("Q"), "BD": memoryview(bits).cast("d"),
+        "WRAP": _wrap64, "OUT": cpu.output.append, "CPU": cpu,
+        "WILD": cpu._wild,
+    }
 
-        # -- memory ---------------------------------------------------------
-        elif op is Op.LD:
-            def cl():
-                try:
-                    p = read_pattern(iregs[ra] + imm)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                iregs[rd] = p - W if p >= S else p
-                return nxt
-        elif op is Op.ST:
-            def cl():
-                try:
-                    write_pattern(iregs[ra] + imm, iregs[rd] & M)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                return nxt
-        elif op is Op.LDX:
-            def cl():
-                try:
-                    p = read_pattern(iregs[ra] + iregs[rb] * 8 + imm)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                iregs[rd] = p - W if p >= S else p
-                return nxt
-        elif op is Op.STX:
-            def cl():
-                try:
-                    write_pattern(iregs[ra] + iregs[rb] * 8 + imm, iregs[rd] & M)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                return nxt
-        elif op is Op.FLD:
-            def cl():
-                try:
-                    value = read_float(iregs[ra] + imm)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                fregs[rd] = value
-                return nxt
-        elif op is Op.FST:
-            def cl():
-                try:
-                    write_float(iregs[ra] + imm, fregs[rd])
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                return nxt
-        elif op is Op.FLDX:
-            def cl():
-                try:
-                    value = read_float(iregs[ra] + iregs[rb] * 8 + imm)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                fregs[rd] = value
-                return nxt
-        elif op is Op.FSTX:
-            def cl():
-                try:
-                    write_float(iregs[ra] + iregs[rb] * 8 + imm, fregs[rd])
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                return nxt
-        elif op is Op.PUSH:
-            def cl():
-                sp = iregs[SP_] - 8
-                try:
-                    write_pattern(sp, iregs[ra] & M)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                iregs[SP_] = sp
-                return nxt
-        elif op is Op.POP:
-            def cl():
-                sp = iregs[SP_]
-                try:
-                    p = read_pattern(sp)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                # sp first, value second: "pop sp" ends with the loaded value.
-                iregs[SP_] = sp + 8
-                iregs[rd] = p - W if p >= S else p
-                return nxt
-        elif op is Op.FPUSH:
-            def cl():
-                sp = iregs[SP_] - 8
-                try:
-                    write_float(sp, fregs[ra])
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                iregs[SP_] = sp
-                return nxt
-        elif op is Op.FPOP:
-            def cl():
-                sp = iregs[SP_]
-                try:
-                    value = read_float(sp)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                fregs[rd] = value
-                iregs[SP_] = sp + 8
-                return nxt
 
-        # -- integer ALU ------------------------------------------------------
-        elif op is Op.ADD:
-            def cl():
-                v = (iregs[ra] + iregs[rb]) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.SUB:
-            def cl():
-                v = (iregs[ra] - iregs[rb]) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.MUL:
-            def cl():
-                v = (iregs[ra] * iregs[rb]) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.DIV:
-            def cl():
-                b = iregs[rb]
-                if b == 0:
-                    raise Trap(
-                        Signal.SIGFPE, pc=pc, instr=ins,
-                        detail="integer divide by zero",
-                    )
-                a = iregs[ra]
-                q = abs(a) // abs(b)
-                v = (-q if (a < 0) != (b < 0) else q) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.MOD:
-            def cl():
-                b = iregs[rb]
-                if b == 0:
-                    raise Trap(
-                        Signal.SIGFPE, pc=pc, instr=ins,
-                        detail="integer remainder by zero",
-                    )
-                a = iregs[ra]
-                q = abs(a) // abs(b)
-                if (a < 0) != (b < 0):
-                    q = -q
-                v = (a - q * b) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.AND:
-            def cl():
-                v = (iregs[ra] & iregs[rb]) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.OR:
-            def cl():
-                v = (iregs[ra] | iregs[rb]) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.XOR:
-            def cl():
-                v = (iregs[ra] ^ iregs[rb]) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.SHL:
-            def cl():
-                v = (iregs[ra] << (iregs[rb] & 63)) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.SHR:
-            def cl():
-                iregs[rd] = iregs[ra] >> (iregs[rb] & 63)
-                return nxt
-        elif op is Op.NEG:
-            def cl():
-                v = (-iregs[ra]) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.NOT:
-            def cl():
-                v = (~iregs[ra]) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.ADDI:
-            def cl():
-                v = (iregs[ra] + imm) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.SUBI:
-            def cl():
-                v = (iregs[ra] - imm) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.MULI:
-            def cl():
-                v = (iregs[ra] * imm) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.ANDI:
-            def cl():
-                v = (iregs[ra] & imm) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.ORI:
-            def cl():
-                v = (iregs[ra] | imm) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.XORI:
-            def cl():
-                v = (iregs[ra] ^ imm) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.SHLI:
-            shift = imm & 63
-            def cl():
-                v = (iregs[ra] << shift) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.SHRI:
-            shift = imm & 63
-            def cl():
-                iregs[rd] = iregs[ra] >> shift
-                return nxt
-
-        # -- comparisons ------------------------------------------------------
-        elif op is Op.SEQ:
-            def cl():
-                iregs[rd] = 1 if iregs[ra] == iregs[rb] else 0
-                return nxt
-        elif op is Op.SNE:
-            def cl():
-                iregs[rd] = 1 if iregs[ra] != iregs[rb] else 0
-                return nxt
-        elif op is Op.SLT:
-            def cl():
-                iregs[rd] = 1 if iregs[ra] < iregs[rb] else 0
-                return nxt
-        elif op is Op.SLE:
-            def cl():
-                iregs[rd] = 1 if iregs[ra] <= iregs[rb] else 0
-                return nxt
-        elif op is Op.FEQ:
-            def cl():
-                iregs[rd] = 1 if fregs[ra] == fregs[rb] else 0
-                return nxt
-        elif op is Op.FNE:
-            def cl():
-                iregs[rd] = 1 if fregs[ra] != fregs[rb] else 0
-                return nxt
-        elif op is Op.FLT:
-            def cl():
-                iregs[rd] = 1 if fregs[ra] < fregs[rb] else 0
-                return nxt
-        elif op is Op.FLE:
-            def cl():
-                iregs[rd] = 1 if fregs[ra] <= fregs[rb] else 0
-                return nxt
-
-        # -- floating point ---------------------------------------------------
-        elif op is Op.FADD:
-            def cl():
-                fregs[rd] = fregs[ra] + fregs[rb]
-                return nxt
-        elif op is Op.FSUB:
-            def cl():
-                fregs[rd] = fregs[ra] - fregs[rb]
-                return nxt
-        elif op is Op.FMUL:
-            def cl():
-                fregs[rd] = fregs[ra] * fregs[rb]
-                return nxt
-        elif op is Op.FDIV:
-            def cl():
-                a = fregs[ra]
-                b = fregs[rb]
-                if b == 0.0:
-                    # IEEE-754: x/0 -> signed inf; 0/0 and nan/0 -> nan.
-                    if a == 0.0 or isnan_(a):
-                        fregs[rd] = nan_
-                    else:
-                        fregs[rd] = copysign_(inf_, a) * copysign_(1.0, b)
-                else:
-                    fregs[rd] = a / b
-                return nxt
-        elif op is Op.FNEG:
-            def cl():
-                fregs[rd] = -fregs[ra]
-                return nxt
-        elif op is Op.FSQRT:
-            def cl():
-                a = fregs[ra]
-                fregs[rd] = nan_ if a < 0.0 else (a if isnan_(a) else sqrt_(a))
-                return nxt
-        elif op is Op.FABS:
-            def cl():
-                fregs[rd] = abs(fregs[ra])
-                return nxt
-        elif op is Op.FMIN:
-            def cl():
-                a = fregs[ra]
-                b = fregs[rb]
-                if isnan_(a):
-                    fregs[rd] = b
-                elif isnan_(b):
-                    fregs[rd] = a
-                else:
-                    fregs[rd] = a if a < b else b
-                return nxt
-        elif op is Op.FMAX:
-            def cl():
-                a = fregs[ra]
-                b = fregs[rb]
-                if isnan_(a):
-                    fregs[rd] = b
-                elif isnan_(b):
-                    fregs[rd] = a
-                else:
-                    fregs[rd] = a if a > b else b
-                return nxt
-
-        # -- conversions ------------------------------------------------------
-        elif op is Op.ITOF:
-            def cl():
-                fregs[rd] = float(iregs[ra])
-                return nxt
-        elif op is Op.FTOI:
-            def cl():
-                a = fregs[ra]
-                if isnan_(a) or isinf_(a):
-                    value = I64MIN  # x86 cvttsd2si "integer indefinite"
-                else:
-                    value = int(a)
-                    if value < I64MIN or value > I64MAX:
-                        value = I64MIN
-                iregs[rd] = value
-                return nxt
-
-        # -- control flow -----------------------------------------------------
-        elif op is Op.JMP:
-            target = imm
-            if 0 <= target <= n:
-                def cl():
-                    return target
-            else:
-                def cl():
-                    wild[0] = target
-                    return n
-        elif op is Op.BEQZ:
-            target = imm
-            if 0 <= target <= n:
-                def cl():
-                    return target if iregs[ra] == 0 else nxt
-            else:
-                def cl():
-                    if iregs[ra] == 0:
-                        wild[0] = target
-                        return n
-                    return nxt
-        elif op is Op.BNEZ:
-            target = imm
-            if 0 <= target <= n:
-                def cl():
-                    return target if iregs[ra] != 0 else nxt
-            else:
-                def cl():
-                    if iregs[ra] != 0:
-                        wild[0] = target
-                        return n
-                    return nxt
-        elif op is Op.CALL:
-            target = imm
-            ret_addr = (pc + 1) & M
-            if 0 <= target <= n:
-                def cl():
-                    sp = iregs[SP_] - 8
-                    try:
-                        write_pattern(sp, ret_addr)
-                    except AccessError as exc:
-                        raise _mem_trap(exc, pc, ins) from None
-                    iregs[SP_] = sp
-                    return target
-            else:
-                def cl():
-                    sp = iregs[SP_] - 8
-                    try:
-                        write_pattern(sp, ret_addr)
-                    except AccessError as exc:
-                        raise _mem_trap(exc, pc, ins) from None
-                    iregs[SP_] = sp
-                    wild[0] = target
-                    return n
-        elif op is Op.RET:
-            def cl():
-                sp = iregs[SP_]
-                try:
-                    p = read_pattern(sp)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                iregs[SP_] = sp + 8
-                target = p - W if p >= S else p
-                if 0 <= target <= n:
-                    return target
-                wild[0] = target
-                return n
-
-        # -- system -----------------------------------------------------------
-        elif op is Op.HALT:
-            # Safe-table variant: retire, stay on the HALT site, let the run
-            # loop observe ``halted``.  The chunk table swaps in a raising
-            # variant (see below).
-            def cl():
-                cpu.halted = True
-                cpu.exit_code = iregs[0]
-                return pc
-        elif op is Op.OUT:
-            def cl():
-                out_append(("i", iregs[ra]))
-                return nxt
-        elif op is Op.FOUT:
-            def cl():
-                out_append(("f", fregs[ra]))
-                return nxt
-        elif op is Op.ABORT:
-            def cl():
-                raise Trap(
-                    Signal.SIGABRT, pc=pc, instr=ins,
-                    detail="application abort",
-                )
-
-        # -- inter-rank communication ----------------------------------------
-        elif op is Op.RANK:
-            def cl():
-                iregs[rd] = cpu.rank
-                return nxt
-        elif op is Op.NRANKS:
-            def cl():
-                net = cpu.network
-                iregs[rd] = net.size if net is not None else 1
-                return nxt
-        elif op is Op.SEND:
-            def cl():
-                net = cpu.network
-                if net is None:
-                    raise Trap(
-                        Signal.SIGBUS, pc=pc, instr=ins,
-                        detail="send outside a cluster",
-                    )
-                dst = iregs[ra]
-                if not net.valid_rank(dst):
-                    raise Trap(
-                        Signal.SIGBUS, pc=pc, instr=ins,
-                        detail=f"send to invalid rank {dst}",
-                    )
-                net.send(cpu.rank, dst, iregs[rb] & M)
-                return nxt
-        elif op is Op.FSEND:
-            def cl():
-                net = cpu.network
-                if net is None:
-                    raise Trap(
-                        Signal.SIGBUS, pc=pc, instr=ins,
-                        detail="fsend outside a cluster",
-                    )
-                dst = iregs[ra]
-                if not net.valid_rank(dst):
-                    raise Trap(
-                        Signal.SIGBUS, pc=pc, instr=ins,
-                        detail=f"fsend to invalid rank {dst}",
-                    )
-                net.send(cpu.rank, dst, f2p(fregs[rb]))
-                return nxt
-        elif op is Op.RECV:
-            def cl():
-                net = cpu.network
-                if net is None:
-                    raise Trap(
-                        Signal.SIGBUS, pc=pc, instr=ins,
-                        detail="recv outside a cluster",
-                    )
-                src = iregs[ra]
-                if not net.valid_rank(src):
-                    raise Trap(
-                        Signal.SIGBUS, pc=pc, instr=ins,
-                        detail=f"recv from invalid rank {src}",
-                    )
-                p = net.recv(cpu.rank, src)
-                if p is None:
-                    raise Blocked(pc=pc, rank=cpu.rank, src=src)
-                p &= M
-                iregs[rd] = p - W if p >= S else p
-                return nxt
-        elif op is Op.FRECV:
-            def cl():
-                net = cpu.network
-                if net is None:
-                    raise Trap(
-                        Signal.SIGBUS, pc=pc, instr=ins,
-                        detail="frecv outside a cluster",
-                    )
-                src = iregs[ra]
-                if not net.valid_rank(src):
-                    raise Trap(
-                        Signal.SIGBUS, pc=pc, instr=ins,
-                        detail=f"frecv from invalid rank {src}",
-                    )
-                p = net.recv(cpu.rank, src)
-                if p is None:
-                    raise Blocked(pc=pc, rank=cpu.rank, src=src)
-                fregs[rd] = p2f(p)
-                return nxt
-        else:  # pragma: no cover - new opcode without a compiled template
-            raise NotImplementedError(f"no compiled template for {op!r}")
-        return cl
-
-    def make_pad():
-        """Slot ``n``: fetch past the image (or a parked wild target)."""
-        def pad():
-            t = wild[0]
-            if t is None:
-                t = n
-            else:
-                wild[0] = None
-            raise _fetch_trap(t)
-        return pad
-
-    def make_halt_raising(pc: int):
-        def halt():
-            cpu.halted = True
-            cpu.exit_code = iregs[0]
-            extra[0] += 1  # HALT retires, then the chunk unwinds
-            raise _HaltSignal()
-        return halt
-
-    def make_fused_cmp_branch(pc: int, ins: Instr, tail: Instr):
-        cmp = _CMP_TO_OPERATOR[ins.op]
-        bank = fregs if ins.op in _FCMP_OPS else iregs
-        rd1, a1, b1 = ins.rd, ins.ra, ins.rb
-        target = tail.imm
-        nxt2 = pc + 2
-        if tail.op is Op.BNEZ:
-            def cl():
-                if cmp(bank[a1], bank[b1]):
-                    iregs[rd1] = 1
-                    extra[0] += 1
-                    return target
-                iregs[rd1] = 0
-                extra[0] += 1
-                return nxt2
-        else:  # BEQZ: taken when the comparison is false
-            def cl():
-                if cmp(bank[a1], bank[b1]):
-                    iregs[rd1] = 1
-                    extra[0] += 1
-                    return nxt2
-                iregs[rd1] = 0
-                extra[0] += 1
-                return target
-        return cl
-
-    def make_fused_addi_load(pc: int, ins: Instr, tail: Instr):
-        d1, a1, i1 = ins.rd, ins.ra, ins.imm
-        d2, a2, i2 = tail.rd, tail.ra, tail.imm
-        load_pc = pc + 1
-        nxt2 = pc + 2
-        if tail.op is Op.LD:
-            def cl():
-                v = (iregs[a1] + i1) & M
-                iregs[d1] = v - W if v >= S else v
-                extra[0] += 1  # the ADDI is committed even if the load traps
-                try:
-                    p = read_pattern(iregs[a2] + i2)
-                except AccessError as exc:
-                    raise _mem_trap(exc, load_pc, tail) from None
-                iregs[d2] = p - W if p >= S else p
-                return nxt2
-        else:  # FLD
-            def cl():
-                v = (iregs[a1] + i1) & M
-                iregs[d1] = v - W if v >= S else v
-                extra[0] += 1
-                try:
-                    value = read_float(iregs[a2] + i2)
-                except AccessError as exc:
-                    raise _mem_trap(exc, load_pc, tail) from None
-                fregs[d2] = value
-                return nxt2
-        return cl
-
-    safe = [make(pc, ins) for pc, ins in enumerate(instrs)]
-    safe.append(make_pad())
-    code = list(safe)
-    for pc, ins in enumerate(instrs):
-        if ins.op is Op.HALT:
-            code[pc] = make_halt_raising(pc)
-        elif plan[pc] == FUSE_CMP_BRANCH:
-            code[pc] = make_fused_cmp_branch(pc, ins, instrs[pc + 1])
-        elif plan[pc] == FUSE_ADDI_LOAD:
-            code[pc] = make_fused_addi_load(pc, ins, instrs[pc + 1])
-    return code, safe
+#: Block-length slot of a pc whose block this CPU has not bound yet (also
+#: of the fetch-fault pad and the HALT codes): never fits a budget.
+_UNBOUND = inf
 
 
 class CompiledCPU(CPU):
-    """Drop-in :class:`CPU` whose run loop dispatches compiled closures.
+    """Drop-in :class:`CPU` whose run loop dispatches compiled blocks.
 
-    Compilation is lazy (first :meth:`run`), so processes that are only
-    snapshotted or inspected never pay for it; the closure tables bind the
-    live register files / memory / output objects, which
+    Binding is lazy (first :meth:`run`, then per entered pc), so processes
+    that are only snapshotted or inspected never pay for it; blocks bind
+    the live register files / memory / output objects, which
     ``restore_into`` refills in place, so one compiled process can host
     any number of restored runs.
     """
 
     # ``__weakref__`` lets a caller check that a finished CPU is freed.
-    __slots__ = ("_code", "_safe", "_extra", "_wild", "__weakref__")
+    __slots__ = ("_image", "_env", "_blocks", "_lens", "_safe", "_wild",
+                 "__weakref__")
 
     def __init__(self, program, memory):
         super().__init__(program, memory)
-        self._code = None
-        self._safe = None
-        self._extra = [0]   # retirements a chunk iteration count misses
+        self._blocks = None
         self._wild = [None]  # out-of-image jump target awaiting its fetch fault
+
+    def _bind(self, entry: int, length: int):
+        """This CPU's function for the block (*entry*, *length*)."""
+        code, consts = self._image.code(entry, length)
+        env = self._env
+        defaults = tuple(
+            env[name] if name in env else consts[name]
+            for name in code.co_varnames[: code.co_argcount]
+        )
+        return FunctionType(code, _GLOBALS, code.co_name, defaults)
 
     def run(self, max_steps: int) -> str:
         """Exactly :meth:`CPU.run`, at compiled speed."""
-        code = self._code
-        if code is None:
-            code, self._safe = _build_tables(self)
-            self._code = code
-        safe = self._safe
-        extra = self._extra
-        wild = self._wild
-        n = self._n_instrs
         if self.halted:
             return STOP_HALT
+        blocks = self._blocks
+        n = self._n_instrs
+        if blocks is None:
+            self._image = image_code(self.instrs)
+            self._env = _bind_env(self)
+            blocks = self._blocks = [None] * n
+            # Slot n is the fetch-fault pad, slots n + 1 + pc the HALTs.
+            self._lens = [_UNBOUND] * (2 * n + 2)
+            self._safe = [None] * n
         pc = self.pc
-        retired = 0
+        if pc < 0 or pc > n:
+            if max_steps <= 0:
+                return STOP_STEPS
+            raise _fetch_trap(pc)
+        lens = self._lens
+        safe = self._safe
+        wild = self._wild
+        left = max_steps
         try:
             while True:
-                remaining = max_steps - retired
-                if remaining <= 0:
-                    return STOP_HALT if self.halted else STOP_STEPS
-                if pc < 0 or pc > n:
-                    raise _fetch_trap(pc)
-                if remaining == 1:
-                    # The last budgeted step must not over-retire: run it
-                    # unfused.
-                    pc = safe[pc]()
-                    retired += 1
+                k = lens[pc]
+                if k <= left:
+                    pc = blocks[pc]()
+                    left -= k
                     continue
-                # A fused pair retires two instructions, so a chunk of k
-                # dispatches retires at most 2k <= remaining.
-                k = remaining >> 1
-                i = 0
-                extra[0] = 0
-                try:
-                    while i < k:
-                        pc = code[pc]()
-                        i += 1
-                finally:
-                    retired += i + extra[0]
-        except _HaltSignal:
-            return STOP_HALT
+                if pc > n:  # a HALT retired; its site is pc - n - 1
+                    pc -= n + 1
+                    return STOP_HALT
+                if left <= 0:
+                    return STOP_STEPS
+                if pc == n:
+                    # Fetch past the image, or a parked wild target.
+                    if wild[0] is not None:
+                        pc = wild[0]
+                        wild[0] = None
+                    raise _fetch_trap(pc)
+                if k is _UNBOUND:
+                    k = self._image.extent[pc]
+                    if k <= left:
+                        blocks[pc] = self._bind(pc, k)
+                        lens[pc] = k
+                        continue
+                # The block is longer than the budget left: one instruction.
+                step = safe[pc]
+                if step is None:
+                    step = safe[pc] = self._bind(pc, 1)
+                pc = step()
+                left -= 1
         except Trap as trap:
+            # Everything before the faulter in the block retired.
+            left -= trap.pc - pc
             pc = trap.pc
             raise
         finally:
@@ -882,7 +715,7 @@ class CompiledCPU(CPU):
                 pc = wild[0]
                 wild[0] = None
             self.pc = pc
-            self.instret += retired
+            self.instret += max_steps - left
 
 
 # -- backend selection -------------------------------------------------------
@@ -925,12 +758,11 @@ def cpu_class(backend: "str | type[CPU] | None") -> type[CPU]:
 
 __all__ = [
     "CompiledCPU",
+    "ImageCode",
     "BACKENDS",
     "DEFAULT_BACKEND",
+    "block_extent",
     "default_backend",
     "cpu_class",
-    "fusion_plan",
-    "FUSE_NONE",
-    "FUSE_CMP_BRANCH",
-    "FUSE_ADDI_LOAD",
+    "image_code",
 ]

@@ -153,8 +153,11 @@ class Memory:
         :meth:`write_pattern`: callers pass cells captured from a process
         with an identical segment map (see ``repro.checkpoint.snapshot``),
         where every address was validated when originally written.
+        Refills the cell dict in place: compiled code holds its identity.
         """
-        self._cells = dict(cells)
+        if cells is not self._cells:
+            self._cells.clear()
+            self._cells.update(cells)
 
     def clear(self) -> None:
         """Drop contents but keep the segment map."""

@@ -74,6 +74,13 @@ _TRIGGERS = {
         Instr(Op.LD, rd=2, ra=1),
         Instr(Op.HALT),
     ]),
+    "load-trap-retires": _program([
+        Instr(Op.MOVI, rd=1, imm=8),
+        Instr(Op.ADDI, rd=2, ra=1, imm=1),
+        Instr(Op.LD, rd=3, ra=1),          # address 8: unmapped, SIGSEGV
+        Instr(Op.ADDI, rd=4, ra=2, imm=1),
+        Instr(Op.HALT),
+    ]),
 }
 
 

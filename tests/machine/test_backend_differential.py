@@ -16,11 +16,15 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.checkpoint.snapshot import restore_into, snapshot
 from repro.core import VARIANTS
 from repro.faultinject.fault_model import plan_injections
 from repro.faultinject.injector import run_injection
 from repro.isa import Instr, Op, Program
 from repro.machine import CPU, CompiledCPU, Process, Signal
+from repro.machine.compiled import block_extent, image_code
+from repro.machine.debugger import DebugSession
+from repro.machine.process import ProcessStatus
 from repro.machine.signals import Trap
 
 APP_NAMES = ("lulesh", "clamr", "hpl", "comd", "snap", "pennant")
@@ -98,27 +102,104 @@ def test_trapped_instruction_not_retired_both_backends():
         assert info.value.pc == 1
 
 
-def test_fused_pair_respects_step_budget():
-    """cmp+branch fuses; a budget landing between the two must still split
-    them (the final budgeted step runs unfused)."""
-    program = Program(
-        instrs=[
-            Instr(Op.MOVI, rd=1, imm=0),
-            Instr(Op.MOVI, rd=2, imm=1),
-            Instr(Op.SLT, rd=3, ra=1, rb=2),   # fuses with the BNEZ below
-            Instr(Op.BNEZ, ra=3, imm=5),
-            Instr(Op.HALT),
-            Instr(Op.HALT),
-        ],
-        functions={"main": 0},
-    )
-    for budget in range(1, 6):
-        pcs = []
-        for backend in BACKENDS:
-            cpu = _fresh(program, backend).cpu
-            stop = cpu.run(budget)
-            pcs.append((stop, cpu.pc, cpu.instret, cpu.iregs[3]))
-        assert pcs[0] == pcs[1], f"budget={budget}"
+#: One 7-instruction block (pcs 0-6) with a faulting load in the middle.
+BLOCK_PROGRAM = Program(
+    instrs=[
+        Instr(Op.MOVI, rd=1, imm=0),
+        Instr(Op.ADDI, rd=2, ra=1, imm=8),
+        Instr(Op.LD, rd=3, ra=1),           # address 0: unmapped, SIGSEGV
+        Instr(Op.ADDI, rd=4, ra=2, imm=1),
+        Instr(Op.SLT, rd=5, ra=2, rb=4),
+        Instr(Op.PUSH, ra=4),
+        Instr(Op.BNEZ, ra=5, imm=8),
+        Instr(Op.HALT),
+        Instr(Op.HALT),
+    ],
+    functions={"main": 0},
+)
+BLOCK_LEN = 7
+
+
+def _stop_facts(session: DebugSession, budget: int):
+    """Run *budget* steps; the stop, the state, and the trap if any."""
+    cpu = session.process.cpu
+    try:
+        stop = cpu.run(budget)
+        trap = None
+    except Trap as exc:
+        stop, trap = "trap", (exc.signal, exc.pc, exc.detail)
+    cells = cpu.memory.written_cells()
+    return (stop, cpu.pc, cpu.instret, tuple(cpu.iregs), cells, trap)
+
+
+def _block_trails(backend: str) -> dict:
+    """(entry, budget) -> the stops of one LetGo-style run of the block."""
+    session = DebugSession(_fresh(BLOCK_PROGRAM, backend))
+    start = snapshot(session.process)
+
+    def trail(entry: int, budget: int) -> list:
+        restore_into(session.process, start)
+        session.set_pc(entry)
+        stops = [_stop_facts(session, budget)]
+        trap = stops[0][-1]
+        if trap is not None:
+            # LetGo: skip the faulter and carry on.
+            session.set_pc(trap[1] + 1)
+            stops.append(_stop_facts(session, budget))
+        stops.append(_stop_facts(session, 100))
+        return stops
+
+    # Enter every pc once first: short budgets must also meet bound blocks.
+    for entry in range(BLOCK_LEN):
+        trail(entry, 100)
+    return {
+        (entry, budget): trail(entry, budget)
+        for entry in range(BLOCK_LEN)
+        for budget in range(1, BLOCK_LEN - entry + 2)
+    }
+
+
+def test_block_boundaries_respect_budget_and_traps():
+    """Every (entry pc, budget) around a block with a mid-block faulting
+    load agrees with the interpreter: a block never overruns the budget,
+    a trap retires exactly the instructions before the faulter, and
+    LetGo's resume at ``trap.pc + 1`` (the middle of the block) works."""
+    assert block_extent(BLOCK_PROGRAM.instrs)[0] == BLOCK_LEN
+    reference, compiled = (_block_trails(backend) for backend in BACKENDS)
+    for key, stops in reference.items():
+        assert compiled[key] == stops, f"(entry, budget) = {key}"
+    # The unbroken block from pc 0 does trap at the load, two retired.
+    stop, _, instret, _, _, trap = reference[(0, BLOCK_LEN + 1)][0]
+    assert (stop, instret, trap[1]) == ("trap", 2, 2)
+
+
+def test_image_code_is_compiled_once_per_image(suite):
+    """A second process of an image binds the cached block code and
+    compiles none; processes of one image stay independent."""
+    app = suite["pennant"]
+    image = image_code(app.program.instrs)
+    app.load("compiled").run(app.max_steps)
+    compiled = dict(image.codes)
+    assert compiled
+    second = app.load("compiled")
+    assert second.run(app.max_steps).reason == "exited"
+    assert image.codes.keys() == compiled.keys()
+    assert all(image.codes[key] is code for key, code in compiled.items())
+    cached = {id(code) for code, _ in compiled.values()}
+    bound = [block for block in second.cpu._blocks if block is not None]
+    assert bound and all(id(block.__code__) in cached for block in bound)
+
+    # Interleaved, with budgets that stop mid-block in both processes.
+    a, b = app.load("compiled"), app.load("compiled")
+    while ProcessStatus.RUNNING in (a.status, b.status):
+        for process, budget in ((a, 997), (b, 1009)):
+            if process.status is ProcessStatus.RUNNING:
+                process.run(budget)
+    for process in (a, b):
+        assert process.status is ProcessStatus.EXITED
+        assert process.cpu.instret == app.golden.instret
+        assert tuple(process.output) == app.golden.output
+    assert a.memory.written_cells() == b.memory.written_cells()
 
 
 def test_lockstep_random_budgets_demo(demo_program):
