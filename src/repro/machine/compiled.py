@@ -5,10 +5,10 @@ translation blocks (Bellard, USENIX ATC 2005) in Python.  A block starts
 at any entry pc and runs through the first control transfer or stop
 (JMP/BEQZ/BNEZ/CALL/RET/HALT/ABORT); a block also ends just *before* a
 communication op (SEND/RECV/FSEND/FRECV), so every comm op is a block of
-its own.  Each block is emitted as Python source -- register indices,
-immediates and branch targets written in as literals, loads and stores
-inlined against the memory's cell dict with the segment check in front --
-and compiled once per program image.  The hot loop is then one
+its own.  Each block is emitted as Python source -- registers held in
+locals, immediates and branch targets written in as literals, loads and
+stores inlined against the memory's cell dict with the segment check in
+front -- and compiled once per program image.  The hot loop is then one
 ``pc = blocks[pc]()`` dispatch per block instead of one per instruction.
 
 The backend preserves the interpreter's contract exactly:
@@ -58,7 +58,7 @@ from types import FunctionType
 from repro.isa.instructions import Instr, Op
 from repro.isa.layout import INT64_MAX, INT64_MIN, MASK64
 from repro.isa.registers import BP, SP
-from repro.machine.cpu import CPU, STOP_HALT, STOP_STEPS
+from repro.machine.cpu import CPU, STOP_HALT, STOP_STEPS, _wrap64
 from repro.machine.memory import (
     AccessError,
     float_to_pattern,
@@ -75,11 +75,6 @@ _TERMINATORS = frozenset(
 )
 #: Ops that always form a one-instruction block.
 _COMM_OPS = frozenset((Op.SEND, Op.RECV, Op.FSEND, Op.FRECV))
-
-
-def _wrap64(value: int) -> int:
-    value &= MASK64
-    return value - _WRAP if value >= _SIGN else value
 
 
 def _mem_trap(exc: AccessError, pc: int, ins: Instr) -> Trap:
