@@ -176,11 +176,12 @@ def _run_shard(
 
     Returns (pairs, tally, seconds, payload).  The tally is the shard's
     one exact count of ``restore`` / ``cold-start`` positionings, golden
-    ``fast-forward`` instructions replayed and watchdog ``timeout`` runs;
-    it exists whether telemetry is on or off.  With telemetry a leaf
+    ``fast-forward`` instructions replayed, watchdog ``timeout`` runs and
+    each result's ``outcome:*`` and ``first-signal:*``; it exists whether
+    telemetry is on or off.  With telemetry a leaf
     :class:`~repro.telemetry.Tracer` also records the shard's phase spans
-    and injection counters; its picklable export is the payload (None
-    when disabled), absorbed by the supervisor.  The leaf is created here
+    and repair counters; its picklable export is the payload (None when
+    disabled), absorbed by the supervisor.  The leaf is created here
     -- identically for in-process and pooled shards -- so the merged
     stream is independent of *where* the shard ran.
     """
@@ -217,6 +218,9 @@ def _run_shard(
                 wall_clock_limit=campaign.wall_clock_limit,
                 tracer=tracer,
             )
+            tally[f"outcome:{result.outcome.value}"] += 1
+            if result.first_signal is not None:
+                tally[f"first-signal:{result.first_signal.name}"] += 1
             if result.timed_out:
                 tally["timeout"] += 1
     pairs = [(idx, out[idx]) for idx in sorted(out)]

@@ -155,9 +155,10 @@ def run_injection(
     (ignored when *session* is supplied); outcomes are backend-invariant.
 
     ``tracer`` (a :class:`repro.telemetry.Tracer`) times the run's phases
-    (``advance-to-site``, ``post-fault``, ``repair``, ``acceptance-check``)
-    and tallies outcome / first-signal counters; the default null tracer
-    costs nothing and never alters the result.
+    (``advance-to-site``, ``post-fault``, ``repair``, ``acceptance-check``);
+    the default null tracer costs nothing and never alters the result.
+    Outcome and first-signal counters are the campaign engine's, read
+    from the results.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     config = config or BASELINE
@@ -199,9 +200,6 @@ def run_injection(
             steps=process.cpu.instret,
             timed_out=report.timed_out,
         )
-    tracer.count(f"outcome:{result.outcome.value}")
-    if result.first_signal is not None:
-        tracer.count(f"first-signal:{result.first_signal.name}")
     return result
 
 

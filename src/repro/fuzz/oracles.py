@@ -1,7 +1,7 @@
 """Differential and metamorphic oracles.
 
 Three *differential* oracles run one program two ways and demand
-identical :class:`~repro.fuzz.observe.Observation` digests:
+identical :class:`~repro.machine.observe.Observation` digests:
 
 * ``backend`` -- lockstep interpreter vs compiled under a random pause
   schedule (every pause point must agree, not just the final state).
@@ -18,7 +18,8 @@ generated apps: ``merge`` (shard + ``CampaignResult.merge`` equals the
 unsharded run; associative and counts-commutative; telemetry counters
 sum), ``resume`` (a journal pre-seeded with a prefix of results resumes
 to the bit-identical campaign), and ``jobs`` (jobs=1 equals jobs=N,
-telemetry counters included).
+telemetry counters included).  Campaigns compare with
+``CampaignResult ==``, which is per-plan ``InjectionResult`` equality.
 
 Every oracle returns a list of :class:`Divergence` records -- empty
 means the property held.
@@ -36,9 +37,8 @@ from repro.core.config import BASELINE, LetGoConfig
 from repro.faultinject.campaign import CampaignConfig, CampaignResult
 from repro.faultinject.engine import CampaignEngine
 from repro.faultinject.fault_model import plan_injections
-from repro.faultinject.injector import InjectionResult, run_injection
+from repro.faultinject.injector import run_injection
 from repro.faultinject.journal import CampaignJournal, JournalHeader
-from repro.fuzz.observe import Observation, observe
 from repro.isa.program import Program
 from repro.machine.cpu import CPU
 from repro.machine.debugger import (
@@ -48,6 +48,7 @@ from repro.machine.debugger import (
     STOP_TRAP,
     DebugSession,
 )
+from repro.machine.observe import observe
 from repro.machine.process import Process, ProcessStatus
 
 #: Backend selectors accepted by the differential oracles: a registry
@@ -80,15 +81,6 @@ def _run_budget(process: Process, budget: int) -> None:
     """Advance *process* by up to *budget* instructions (no-op if done)."""
     if process.status is ProcessStatus.RUNNING and budget > 0:
         process.run(budget)
-
-
-def classify_stop(obs: Observation) -> str:
-    """Coverage bucket of a final observation: halt / budget / signal."""
-    if obs.status == "exited":
-        return "halt"
-    if obs.status == "terminated" and obs.trap is not None:
-        return obs.trap[0]
-    return "budget"
 
 
 def check_backends(
@@ -231,27 +223,13 @@ def check_program(
 # -- metamorphic campaign oracles ---------------------------------------------
 
 
-def _result_key(r: InjectionResult) -> tuple:
-    return (
-        r.outcome.value,
-        r.target_pc,
-        r.target_reg,
-        None if r.first_signal is None else r.first_signal.name,
-        r.interventions,
-        r.steps,
-        r.timed_out,
-    )
-
-
-def _campaign_key(result: CampaignResult) -> tuple:
-    counts = tuple(
-        sorted((o.value, c) for o, c in result.counts.items() if c)
-    )
-    return (
-        result.n,
-        counts,
-        tuple(_result_key(r) for r in result.results),
-    )
+def _campaign_diff(a: CampaignResult, b: CampaignResult) -> str:
+    """Divergence detail for two unequal campaigns: the first differing
+    result, else the summaries (``n``, ``counts``)."""
+    for i, (ra, rb) in enumerate(zip(a.results, b.results)):
+        if ra != rb:
+            return f"result {i}: {ra!r} != {rb!r}"
+    return f"{a!r} != {b!r}"
 
 
 def _counter_sum(counter_dicts) -> dict[str, int]:
@@ -303,10 +281,10 @@ def check_merge(
     merged = CampaignResult.merge(shards)
 
     found: list[Divergence] = []
-    if _campaign_key(merged) != _campaign_key(full):
+    if merged != full:
         found.append(Divergence(
             "merge", at=f"shard@{split}",
-            detail=f"{_campaign_key(merged)!r} != {_campaign_key(full)!r}",
+            detail=_campaign_diff(merged, full),
         ))
 
     # Associativity on a 3-way split; commutativity of the counts.
@@ -323,10 +301,10 @@ def check_merge(
         right = CampaignResult.merge(
             [trio_results[0], CampaignResult.merge(trio_results[1:])]
         )
-        if _campaign_key(left) != _campaign_key(right):
+        if left != right:
             found.append(Divergence(
                 "merge", at="associativity",
-                detail=f"{_campaign_key(left)!r} != {_campaign_key(right)!r}",
+                detail=_campaign_diff(left, right),
             ))
         forward = CampaignResult.merge(trio_results).counts
         backward = CampaignResult.merge(trio_results[::-1]).counts
@@ -376,10 +354,10 @@ def check_resume(
     resumed = CampaignEngine(
         config=CampaignConfig(keep_results=True, resume=str(path))
     ).run(app, n, seed, config, plans=plans)
-    if _campaign_key(resumed) != _campaign_key(full):
+    if resumed != full:
         return [Divergence(
             "resume", at=f"prefix={prefix}",
-            detail=f"{_campaign_key(resumed)!r} != {_campaign_key(full)!r}",
+            detail=_campaign_diff(resumed, full),
         )]
     return []
 
@@ -412,10 +390,10 @@ def check_jobs(
         ),
     )
     found: list[Divergence] = []
-    if _campaign_key(serial) != _campaign_key(fanned):
+    if serial != fanned:
         found.append(Divergence(
             "jobs", at=f"jobs=1 vs jobs={jobs}",
-            detail=f"{_campaign_key(serial)!r} != {_campaign_key(fanned)!r}",
+            detail=_campaign_diff(serial, fanned),
         ))
     serial_outcomes = _filtered_counters(serial_tel)
     fanned_outcomes = _filtered_counters(fanned_tel)
@@ -444,7 +422,6 @@ __all__ = [
     "PROGRAM_ORACLES",
     "CAMPAIGN_ORACLES",
     "ALL_ORACLES",
-    "classify_stop",
     "check_backends",
     "check_debugger",
     "check_snapshot",

@@ -31,6 +31,7 @@ from repro.machine.memory import (
     pattern_to_int,
 )
 from repro.machine.process import Process, ProcessStatus, RunResult
+from repro.machine.observe import Observation, memory_digest, observe
 from repro.machine.signals import LETGO_DEFAULT_SIGNALS, Blocked, Signal, Trap
 
 __all__ = [
@@ -65,6 +66,9 @@ __all__ = [
     "Process",
     "ProcessStatus",
     "RunResult",
+    "Observation",
+    "observe",
+    "memory_digest",
     "Signal",
     "Trap",
     "LETGO_DEFAULT_SIGNALS",

@@ -14,10 +14,11 @@ front -- and compiled once per program image.  The hot loop is then one
 The backend preserves the interpreter's contract exactly:
 
 * **Exact budget.**  A block runs only when the remaining step budget
-  covers its whole length; otherwise the next instruction runs alone from
-  the per-instruction *safe* table (single-instruction blocks from the
-  same emitter).  ``run(n)`` retires exactly what the interpreter would,
-  which keeps ``dyn_index``-addressed fault injection deterministic.
+  covers its whole length; otherwise the inherited interpreter runs the
+  budget's tail.  Every instruction that tail reaches is straight-line
+  (a terminator only ever ends a block), so ``run(n)`` retires exactly
+  what the interpreter would, which keeps ``dyn_index``-addressed fault
+  injection deterministic.
 * **Precise traps.**  Every trap raised inside a block carries the static
   pc of its faulting instruction, which commits nothing, so the block
   retired exactly ``trap.pc - entry`` instructions and ``cpu.pc`` is left
@@ -628,7 +629,7 @@ class CompiledCPU(CPU):
     """
 
     # ``__weakref__`` lets a caller check that a finished CPU is freed.
-    __slots__ = ("_image", "_env", "_blocks", "_lens", "_safe", "_wild",
+    __slots__ = ("_image", "_env", "_blocks", "_lens", "_wild",
                  "__weakref__")
 
     def __init__(self, program, memory):
@@ -658,14 +659,12 @@ class CompiledCPU(CPU):
             blocks = self._blocks = [None] * n
             # Slot n is the fetch-fault pad, slots n + 1 + pc the HALTs.
             self._lens = [_UNBOUND] * (2 * n + 2)
-            self._safe = [None] * n
         pc = self.pc
         if pc < 0 or pc > n:
             if max_steps <= 0:
                 return STOP_STEPS
             raise _fetch_trap(pc)
         lens = self._lens
-        safe = self._safe
         wild = self._wild
         left = max_steps
         try:
@@ -692,12 +691,7 @@ class CompiledCPU(CPU):
                         blocks[pc] = self._bind(pc, k)
                         lens[pc] = k
                         continue
-                # The block is longer than the budget left: one instruction.
-                step = safe[pc]
-                if step is None:
-                    step = safe[pc] = self._bind(pc, 1)
-                pc = step()
-                left -= 1
+                break  # the block is longer than the budget left
         except Trap as trap:
             # Everything before the faulter in the block retired.
             left -= trap.pc - pc
@@ -711,6 +705,9 @@ class CompiledCPU(CPU):
                 wild[0] = None
             self.pc = pc
             self.instret += max_steps - left
+        # Straight-line up to the budget: the interpreter finishes exactly
+        # (and retires its own steps).
+        return super().run(left)
 
 
 # -- backend selection -------------------------------------------------------

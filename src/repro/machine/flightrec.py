@@ -9,10 +9,10 @@ runs the slow single-step loop.
 
 Recording works on any execution backend: it only needs budget-1 ``run``
 calls and the architectural registers, both part of the backend contract.
-(On the compiled backend a budget of one runs single-instruction blocks,
-never whole blocks, so a recorded stretch runs at roughly interpreter
-speed -- fine for post-mortems, which cover only the last few hundred
-instructions.)
+(On the compiled backend a budget of one interprets the instruction
+unless it is a block by itself, so a recorded stretch runs at roughly
+interpreter speed -- fine for post-mortems, which cover only the last
+few hundred instructions.)
 """
 
 from __future__ import annotations

@@ -163,11 +163,6 @@ class Memory:
         """Drop contents but keep the segment map."""
         self._cells.clear()
 
-    @property
-    def n_written(self) -> int:
-        """Number of cells holding an explicitly written pattern."""
-        return len(self._cells)
-
 
 def float_to_pattern(value: float) -> int:
     """IEEE-754 bit pattern of *value* as an unsigned 64-bit int."""

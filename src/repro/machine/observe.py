@@ -1,10 +1,12 @@
-"""Architectural observations: what the differential oracles compare.
+"""Architectural observations: the one definition of "same state".
 
 An :class:`Observation` is a frozen digest of everything two executions
 of the same program must agree on at a pause point: lifecycle status,
 program counter, retirement count, both register files, a memory digest,
 the OUT/FOUT stream, trap classification, and (only once halted) the
-exit code.
+exit code.  Two states are architecturally equal exactly when their
+observations are ``==``; the backend-differential suite, the snapshot
+and ladder tests and the fuzz oracles all compare through it.
 
 Floats are compared by IEEE-754 bit pattern, not ``==`` -- that is the
 only comparison that catches ``-0.0`` vs ``0.0`` and NaN-payload drift

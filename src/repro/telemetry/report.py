@@ -123,7 +123,7 @@ class TelemetryReport:
     # -- accessors ---------------------------------------------------------
 
     def outcome_counts(self) -> dict[str, int]:
-        """Per-outcome tallies recorded by the injector (``outcome:*``)."""
+        """Per-outcome tallies from the engine's shard tally (``outcome:*``)."""
         return {
             name.split(":", 1)[1]: value
             for name, value in sorted(self.counters.items())

@@ -5,7 +5,7 @@ import pytest
 from repro.checkpoint import build_ladder, restore, restore_into, snapshot
 from repro.errors import SimulationError
 from repro.lang import compile_source
-from repro.machine import Process
+from repro.machine import Process, observe
 
 
 @pytest.fixture(scope="module")
@@ -61,8 +61,7 @@ def test_every_rung_resumes_to_golden_end(program, reference):
         resumed = restore(program, rung)
         result = resumed.run(10**6)
         assert result.reason == "exited"
-        assert resumed.output == reference.output
-        assert resumed.cpu.instret == reference.cpu.instret
+        assert observe(resumed) == observe(reference)
 
 
 def test_restore_into_reuses_finished_process(program, reference):
@@ -76,7 +75,7 @@ def test_restore_into_reuses_finished_process(program, reference):
     assert process.cpu.instret == 100
     result = process.run(10**6)
     assert result.reason == "exited"
-    assert process.output == reference.output
+    assert observe(process) == observe(reference)
 
 
 def test_bad_interval_rejected(program):

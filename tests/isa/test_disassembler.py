@@ -1,7 +1,7 @@
 """Disassembler: text output re-assembles to an equivalent program."""
 
 from repro.isa import assemble, disassemble, dump
-from repro.machine import Process
+from repro.machine import Process, observe
 
 
 def test_roundtrip_demo(demo_program):
@@ -25,7 +25,7 @@ def test_roundtrip_executes_identically(demo_unit):
     b = Process.load(back)
     a.run(10**7)
     b.run(10**7)
-    assert a.output == b.output
+    assert observe(a) == observe(b)
 
 
 def test_data_initializers_preserved(demo_program):

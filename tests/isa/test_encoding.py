@@ -105,11 +105,10 @@ def test_minic_program_roundtrip(demo_unit):
 
 
 def test_roundtrip_executes_identically(demo_program):
-    from repro.machine import Process
+    from repro.machine import Process, observe
 
     original = Process.load(demo_program)
     original.run(10**6)
     back = Process.load(decode_program(encode_program(demo_program)))
     back.run(10**6)
-    assert back.output == original.output
-    assert back.exit_code == original.exit_code
+    assert observe(back) == observe(original)

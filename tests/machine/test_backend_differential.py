@@ -4,7 +4,9 @@ The compiled backend is only admissible if no observable differs from the
 reference interpreter: golden-run facts, architectural state at arbitrary
 pause points, trap sites and signals, and -- the property campaigns stand
 on -- injection outcomes addressed by ``dyn_index``.  Every check here
-runs the same workload on both backends and compares exhaustively.
+runs the same workload on both backends and compares exhaustively:
+machine state through :func:`~repro.machine.observe`, injections through
+``InjectionResult ==``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.core import VARIANTS
 from repro.faultinject.fault_model import plan_injections
 from repro.faultinject.injector import run_injection
 from repro.isa import Instr, Op, Program
-from repro.machine import CPU, CompiledCPU, Process, Signal
+from repro.machine import CPU, CompiledCPU, Process, Signal, observe
 from repro.machine.compiled import block_extent, image_code
 from repro.machine.debugger import DebugSession
 from repro.machine.process import ProcessStatus
@@ -84,7 +86,7 @@ def test_budget_stop_at_wild_pc_matches_interpreter():
         assert info.value.signal is Signal.SIGSEGV
         assert info.value.pc == 99999
         assert info.value.instr is None
-        states.append((cpu.pc, cpu.instret, str(info.value)))
+        states.append((observe(process), str(info.value)))
     assert states[0] == states[1]
 
 
@@ -120,16 +122,14 @@ BLOCK_PROGRAM = Program(
 BLOCK_LEN = 7
 
 
-def _stop_facts(session: DebugSession, budget: int):
-    """Run *budget* steps; the stop, the state, and the trap if any."""
-    cpu = session.process.cpu
+def _run_observed(session: DebugSession, budget: int):
+    """Run *budget* steps; the stop, the trap if any, and the state."""
     try:
-        stop = cpu.run(budget)
+        stop = session.process.cpu.run(budget)
         trap = None
     except Trap as exc:
         stop, trap = "trap", (exc.signal, exc.pc, exc.detail)
-    cells = cpu.memory.written_cells()
-    return (stop, cpu.pc, cpu.instret, tuple(cpu.iregs), cells, trap)
+    return (stop, trap, observe(session.process))
 
 
 def _block_trails(backend: str) -> dict:
@@ -140,13 +140,13 @@ def _block_trails(backend: str) -> dict:
     def trail(entry: int, budget: int) -> list:
         restore_into(session.process, start)
         session.set_pc(entry)
-        stops = [_stop_facts(session, budget)]
-        trap = stops[0][-1]
+        stops = [_run_observed(session, budget)]
+        trap = stops[0][1]
         if trap is not None:
             # LetGo: skip the faulter and carry on.
             session.set_pc(trap[1] + 1)
-            stops.append(_stop_facts(session, budget))
-        stops.append(_stop_facts(session, 100))
+            stops.append(_run_observed(session, budget))
+        stops.append(_run_observed(session, 100))
         return stops
 
     # Enter every pc once first: short budgets must also meet bound blocks.
@@ -169,13 +169,14 @@ def test_block_boundaries_respect_budget_and_traps():
     for key, stops in reference.items():
         assert compiled[key] == stops, f"(entry, budget) = {key}"
     # The unbroken block from pc 0 does trap at the load, two retired.
-    stop, _, instret, _, _, trap = reference[(0, BLOCK_LEN + 1)][0]
-    assert (stop, instret, trap[1]) == ("trap", 2, 2)
+    stop, trap, state = reference[(0, BLOCK_LEN + 1)][0]
+    assert (stop, state.instret, trap[1]) == ("trap", 2, 2)
 
 
 def test_image_code_is_compiled_once_per_image(suite):
     """A second process of an image binds the cached block code and
-    compiles none; processes of one image stay independent."""
+    compiles none; processes of one image stay independent; a budget that
+    stops mid-block compiles no single-instruction tail."""
     app = suite["pennant"]
     image = image_code(app.program.instrs)
     app.load("compiled").run(app.max_steps)
@@ -199,25 +200,25 @@ def test_image_code_is_compiled_once_per_image(suite):
         assert process.status is ProcessStatus.EXITED
         assert process.cpu.instret == app.golden.instret
         assert tuple(process.output) == app.golden.output
-    assert a.memory.written_cells() == b.memory.written_cells()
+    assert observe(a) == observe(b)
+    # The interpreter ran every budget tail: the cache holds whole blocks.
+    assert not [
+        pc for pc, length in image.codes
+        if length == 1 and image.extent[pc] > 1
+    ]
 
 
 def test_lockstep_random_budgets_demo(demo_program):
     """Pause both backends at random points; every pause must agree on the
     complete architectural state."""
     rng = random.Random(20260806)
-    a = _fresh(demo_program, "interpreter").cpu
-    b = _fresh(demo_program, "compiled").cpu
-    while not a.halted:
+    a = _fresh(demo_program, "interpreter")
+    b = _fresh(demo_program, "compiled")
+    while a.status is ProcessStatus.RUNNING:
         k = rng.choice([1, 1, 2, 3, 5, 8, 13, 50])
-        ra, rb = a.run(k), b.run(k)
-        assert ra == rb
-        assert (a.pc, a.instret) == (b.pc, b.instret)
-        assert a.iregs == b.iregs
-        assert a.fregs == b.fregs
-    assert a.output == b.output
-    assert a.exit_code == b.exit_code
-    assert a.memory.written_cells() == b.memory.written_cells()
+        assert a.run(k) == b.run(k)
+        assert observe(a) == observe(b)
+    assert a.status is ProcessStatus.EXITED
 
 
 # -- app-level: golden runs --------------------------------------------------
@@ -229,20 +230,12 @@ def test_golden_run_bit_identical(suite, name):
     facts = []
     for backend in BACKENDS:
         process = app.load(backend)
-        result = process.run(app.max_steps)
-        facts.append(
-            (
-                result.reason,
-                process.cpu.instret,
-                process.cpu.pc,
-                process.exit_code,
-                tuple(process.output),
-            )
-        )
+        facts.append((process.run(app.max_steps).reason, observe(process)))
     assert facts[0] == facts[1]
     # and both agree with the cached golden facts
-    assert facts[0][1] == app.golden.instret
-    assert facts[0][4] == app.golden.output
+    reason, state = facts[0]
+    assert (reason, state.instret) == ("exited", app.golden.instret)
+    assert tuple(process.output) == app.golden.output
 
 
 def test_halted_compiled_cpus_are_freed(suite):
@@ -265,18 +258,6 @@ def test_halted_compiled_cpus_are_freed(suite):
 N_PLANS = 5
 
 
-def _result_facts(result):
-    return (
-        result.outcome,
-        result.target_pc,
-        result.target_reg,
-        result.first_signal,
-        result.interventions,
-        result.steps,
-        result.timed_out,
-    )
-
-
 @pytest.mark.parametrize("name", APP_NAMES)
 @pytest.mark.parametrize("config_name", [None, "LetGo-E"])
 def test_injection_outcomes_bit_identical(suite, name, config_name):
@@ -285,8 +266,8 @@ def test_injection_outcomes_bit_identical(suite, name, config_name):
     rng = np.random.default_rng(0xD1FF + len(name))
     plans = plan_injections(rng, app.golden.instret, N_PLANS)
     for plan in plans:
-        facts = [
-            _result_facts(run_injection(app, plan, config, backend=backend))
+        results = [
+            run_injection(app, plan, config, backend=backend)
             for backend in BACKENDS
         ]
-        assert facts[0] == facts[1], (name, config_name, plan)
+        assert results[0] == results[1], (name, config_name, plan)
